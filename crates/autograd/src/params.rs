@@ -100,11 +100,6 @@ impl Params {
         &self.entries[id.0].grad
     }
 
-    /// Mutable access to the accumulated gradient.
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Grad {
-        &mut self.entries[id.0].grad
-    }
-
     /// The gradient together with mutable access to the value — the
     /// optimizer-step view. Borrowing both sides at once lets the step
     /// read the gradient in place instead of cloning it.
@@ -160,17 +155,6 @@ impl Params {
         (0..self.entries.len()).map(ParamId)
     }
 
-    /// Global L2 norm of all gradients, used for clipping diagnostics.
-    /// Touched-rows-only for sparse accumulators.
-    #[must_use]
-    pub fn grad_norm(&self) -> f64 {
-        self.entries
-            .iter()
-            .map(|e| e.grad.frob_sq())
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Returns `true` when every parameter and gradient is finite.
     #[must_use]
     pub fn all_finite(&self) -> bool {
@@ -205,7 +189,7 @@ mod tests {
         p.accumulate_grad(a, &Tensor::ones(2, 2));
         p.accumulate_grad(a, &Tensor::ones(2, 2));
         assert_eq!(p.grad(a).to_dense().sum(), 8.0);
-        assert_eq!(p.grad_norm(), 4.0);
+        assert_eq!(p.grad(a).frob_sq(), 16.0);
         p.zero_grad();
         assert_eq!(p.grad(a).to_dense().sum(), 0.0);
         assert!(!p.grad(a).is_dense(), "zero_grad resets to sparse");
@@ -221,7 +205,7 @@ mod tests {
         assert!(!p.grad(a).is_dense());
         assert_eq!(p.grad(a).to_dense().row(1), &[2.0, 2.0]);
         assert_eq!(p.grad(a).to_dense().row(0), &[0.0, 0.0]);
-        assert_eq!(p.grad_norm(), (4.0 * 4.0_f64).sqrt());
+        assert_eq!(p.grad(a).frob_sq(), 16.0);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Training configuration shared by all methods.
 
+use dt_optim::Adam;
+
 /// Optimisation and architecture knobs common to every method.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
@@ -78,6 +80,14 @@ impl TrainConfig {
         } else {
             self.hyper.primary_dim
         }
+    }
+
+    /// The optimizer every method trains with: Adam at `lr` with the
+    /// standard betas `(0.9, 0.999)`, `eps = 1e-8` and `l2` folded into
+    /// the gradient.
+    #[must_use]
+    pub fn adam(&self) -> Adam {
+        Adam::with_config(self.lr, 0.9, 0.999, 1e-8, self.l2)
     }
 
     /// Validates ranges.

@@ -7,17 +7,15 @@
 //! full-space embedding mean is pushed to zero. DR-V2 adds a learned
 //! imputation model on top.
 
-use std::time::Instant;
-
 use dt_autograd::Graph;
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::MfModel;
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::{uniform_batch, Batch};
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::{run_epochs, uniform_batch};
+use crate::recommender::Recommender;
 
 /// IPS-V2 or DR-V2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,159 +60,133 @@ impl BalancedRecommender {
 }
 
 impl Recommender for BalancedRecommender {
-    #[allow(clippy::too_many_lines)]
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
         let observed_set = ds.train.pair_set();
         let density = ds.train.density();
-        let lambda = self.cfg.hyper.lambda;
+        let cfg = self.cfg;
+        let lambda = cfg.hyper.lambda;
 
-        let mut opt_prop = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut opt_pred = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut opt_imp = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
+        let mut opt_prop = cfg.adam();
+        let mut opt_pred = cfg.adam();
+        let mut opt_imp = cfg.adam();
+        run_epochs(self, ds, &cfg, rng, None, |rec, b, rng| {
+            let ub = uniform_batch(ds, b.len(), &observed_set, rng);
 
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                let ub = uniform_batch(ds, b.len(), &observed_set, rng);
+            // --- propensity step: BCE over D̂ + balancing term --------
+            {
+                let mut g = Graph::new();
+                let logits = rec.prop_model.logits(&mut g, &ub.users, &ub.items);
+                let o = g.constant(Tensor::col_vec(&ub.observed));
+                let bce = g.bce_mean(logits, o);
 
-                // --- propensity step: BCE over D̂ + balancing term --------
-                {
-                    let mut g = Graph::new();
-                    let logits = self.prop_model.logits(&mut g, &ub.users, &ub.items);
-                    let o = g.constant(Tensor::col_vec(&ub.observed));
-                    let bce = g.bce_mean(logits, o);
-
-                    // Balancing: prediction-model embeddings as the feature
-                    // map φ(x) (detached constants here).
-                    let phi_obs = {
-                        let pairs: Vec<(usize, usize)> = b
-                            .users
-                            .iter()
-                            .zip(&b.items)
-                            .map(|(&u, &i)| (u, i))
-                            .collect();
-                        feature_map(&self.model, &pairs)
-                    };
-                    let phi_unif = {
-                        let pairs: Vec<(usize, usize)> = ub
-                            .users
-                            .iter()
-                            .zip(&ub.items)
-                            .map(|(&u, &i)| (u, i))
-                            .collect();
-                        feature_map(&self.model, &pairs)
-                    };
-                    let obs_logits = self.prop_model.logits(&mut g, &b.users, &b.items);
-                    let p = g.sigmoid(obs_logits);
-                    let pc = g.clamp(p, self.cfg.prop_clip, 1.0);
-                    let ones = g.constant(Tensor::ones(b.len(), 1));
-                    let inv_p = g.div(ones, pc); // n×1, live in the propensity
-                    let phi_o = g.constant(phi_obs);
-                    // broadcast inv_p across feature columns
-                    let cols = g.value(phi_o).cols();
-                    let ones_row = g.constant(Tensor::ones(1, cols));
-                    let inv_p_wide = g.matmul(inv_p, ones_row);
-                    let weighted = g.mul(inv_p_wide, phi_o);
-                    let obs_mean0 = g.col_sums(weighted);
-                    let obs_mean1 = g.mul_scalar(obs_mean0, density / b.len() as f64);
-                    let phi_u = g.constant(phi_unif);
-                    let unif_mean0 = g.col_sums(phi_u);
-                    let unif_mean = g.mul_scalar(unif_mean0, 1.0 / ub.users.len() as f64);
-                    let gap = g.sub(obs_mean1, unif_mean);
-                    let balance = g.frob_sq(gap);
-                    let bw = g.mul_scalar(balance, lambda);
-                    let prop_loss = g.add(bce, bw);
-                    g.backward(prop_loss, &mut self.prop_model.params);
-                    drop(g); // release the tape's table Rcs so the step mutates in place
-                    opt_prop.step(&mut self.prop_model.params);
-                    self.prop_model.params.zero_grad();
-                }
-
-                // --- prediction step (IPS or DR with the balanced p̂) -----
-                let inv_p: Vec<f64> = b
-                    .users
-                    .iter()
-                    .zip(&b.items)
-                    .map(|(&u, &i)| 1.0 / self.clipped_prop(u, i))
-                    .collect();
-                // Pseudo-labels from the imputation model (DR-V2 only).
-                let r_tilde: Option<Vec<f64>> = self
-                    .imputation
-                    .as_ref()
-                    .map(|imp| imp.predict_batch(&b.users, &b.items));
-                let r_tilde_unif: Option<Vec<f64>> = self
-                    .imputation
-                    .as_ref()
-                    .map(|imp| imp.predict_batch(&ub.users, &ub.items));
-                let e_vals: Vec<f64>;
-                let pred_vals: Vec<f64>;
-                {
-                    let mut g = Graph::new();
-                    let logits = self.model.logits(&mut g, &b.users, &b.items);
-                    let pred = g.sigmoid(logits);
-                    let y = g.constant(Tensor::col_vec(&b.ratings));
-                    let err = g.squared_error(pred, y);
-                    let w = g.constant(Tensor::col_vec(&inv_p));
-                    let loss = match &r_tilde {
-                        None => g.weighted_mean(w, err),
-                        Some(rt) => {
-                            // ê = (r̂ − r̃)², live in the prediction model.
-                            let rtv = g.constant(Tensor::col_vec(rt));
-                            let e_hat = g.squared_error(pred, rtv);
-                            let diff = g.sub(err, e_hat);
-                            let corr0 = g.weighted_mean(w, diff);
-                            let corr = g.mul_scalar(corr0, density);
-                            let logits_u = self.model.logits(&mut g, &ub.users, &ub.items);
-                            let pred_u = g.sigmoid(logits_u);
-                            let rt_u = g.constant(Tensor::col_vec(
-                                r_tilde_unif.as_ref().expect("DR-V2 has pseudo-labels"),
-                            ));
-                            let e_hat_u = g.squared_error(pred_u, rt_u);
-                            let base = g.mean(e_hat_u);
-                            g.add(base, corr)
-                        }
-                    };
-                    epoch_loss += g.item(loss);
-                    n += 1;
-                    e_vals = g.value(err).data().to_vec();
-                    pred_vals = g.value(pred).data().to_vec();
-                    g.backward(loss, &mut self.model.params);
-                    drop(g); // release the tape's table Rcs so the step mutates in place
-                    opt_pred.step(&mut self.model.params);
-                    self.model.params.zero_grad();
-                }
-
-                // --- imputation step (DR-V2): train r̃ so the implied
-                //     error (r̂ − r̃)² matches the realized error ----------
-                if let Some(imp) = &mut self.imputation {
-                    let mut g = Graph::new();
-                    let logits = imp.logits(&mut g, &b.users, &b.items);
-                    let rt = g.sigmoid(logits);
-                    let rhat = g.constant(Tensor::col_vec(&pred_vals));
-                    let e_imp = g.squared_error(rhat, rt);
-                    let ev = g.constant(Tensor::col_vec(&e_vals));
-                    let diff_sq = g.squared_error(e_imp, ev);
-                    let w = g.constant(Tensor::col_vec(&inv_p));
-                    let imp_loss = g.weighted_mean(w, diff_sq);
-                    g.backward(imp_loss, &mut imp.params);
-                    drop(g); // release the tape's table Rcs so the step mutates in place
-                    opt_imp.step(&mut imp.params);
-                    imp.params.zero_grad();
-                }
+                // Balancing: prediction-model embeddings as the feature
+                // map φ(x) (detached constants here).
+                let phi_obs = {
+                    let pairs: Vec<(usize, usize)> = b
+                        .users
+                        .iter()
+                        .zip(&b.items)
+                        .map(|(&u, &i)| (u, i))
+                        .collect();
+                    feature_map(&rec.model, &pairs)
+                };
+                let phi_unif = {
+                    let pairs: Vec<(usize, usize)> = ub
+                        .users
+                        .iter()
+                        .zip(&ub.items)
+                        .map(|(&u, &i)| (u, i))
+                        .collect();
+                    feature_map(&rec.model, &pairs)
+                };
+                let obs_logits = rec.prop_model.logits(&mut g, &b.users, &b.items);
+                let p = g.sigmoid(obs_logits);
+                let pc = g.clamp(p, cfg.prop_clip, 1.0);
+                let ones = g.constant(Tensor::ones(b.len(), 1));
+                let inv_p = g.div(ones, pc); // n×1, live in the propensity
+                let phi_o = g.constant(phi_obs);
+                // broadcast inv_p across feature columns
+                let cols = g.value(phi_o).cols();
+                let ones_row = g.constant(Tensor::ones(1, cols));
+                let inv_p_wide = g.matmul(inv_p, ones_row);
+                let weighted = g.mul(inv_p_wide, phi_o);
+                let obs_mean0 = g.col_sums(weighted);
+                let obs_mean1 = g.mul_scalar(obs_mean0, density / b.len() as f64);
+                let phi_u = g.constant(phi_unif);
+                let unif_mean0 = g.col_sums(phi_u);
+                let unif_mean = g.mul_scalar(unif_mean0, 1.0 / ub.users.len() as f64);
+                let gap = g.sub(obs_mean1, unif_mean);
+                let balance = g.frob_sq(gap);
+                let bw = g.mul_scalar(balance, lambda);
+                let prop_loss = g.add(bce, bw);
+                opt_prop.minimize(g, prop_loss, &mut rec.prop_model.params);
             }
-            trace.push(epoch_loss / n.max(1) as f64);
-        }
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: Vec::new(),
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+
+            // --- prediction step (IPS or DR with the balanced p̂) -----
+            let inv_p: Vec<f64> = b
+                .users
+                .iter()
+                .zip(&b.items)
+                .map(|(&u, &i)| 1.0 / rec.clipped_prop(u, i))
+                .collect();
+            // Pseudo-labels from the imputation model (DR-V2 only).
+            let r_tilde: Option<Vec<f64>> = rec
+                .imputation
+                .as_ref()
+                .map(|imp| imp.predict_batch(&b.users, &b.items));
+            let r_tilde_unif: Option<Vec<f64>> = rec
+                .imputation
+                .as_ref()
+                .map(|imp| imp.predict_batch(&ub.users, &ub.items));
+            let e_vals: Vec<f64>;
+            let pred_vals: Vec<f64>;
+            let batch_loss = {
+                let mut g = Graph::new();
+                let logits = rec.model.logits(&mut g, &b.users, &b.items);
+                let pred = g.sigmoid(logits);
+                let y = g.constant(Tensor::col_vec(&b.ratings));
+                let err = g.squared_error(pred, y);
+                let w = g.constant(Tensor::col_vec(&inv_p));
+                let loss = match &r_tilde {
+                    None => g.weighted_mean(w, err),
+                    Some(rt) => {
+                        // ê = (r̂ − r̃)², live in the prediction model.
+                        let rtv = g.constant(Tensor::col_vec(rt));
+                        let e_hat = g.squared_error(pred, rtv);
+                        let diff = g.sub(err, e_hat);
+                        let corr0 = g.weighted_mean(w, diff);
+                        let corr = g.mul_scalar(corr0, density);
+                        let logits_u = rec.model.logits(&mut g, &ub.users, &ub.items);
+                        let pred_u = g.sigmoid(logits_u);
+                        let rt_u = g.constant(Tensor::col_vec(
+                            r_tilde_unif.as_ref().expect("DR-V2 has pseudo-labels"),
+                        ));
+                        let e_hat_u = g.squared_error(pred_u, rt_u);
+                        let base = g.mean(e_hat_u);
+                        g.add(base, corr)
+                    }
+                };
+                e_vals = g.value(err).data().to_vec();
+                pred_vals = g.value(pred).data().to_vec();
+                opt_pred.minimize(g, loss, &mut rec.model.params)
+            };
+
+            // --- imputation step (DR-V2): train r̃ so the implied
+            //     error (r̂ − r̃)² matches the realized error ----------
+            if let Some(imp) = &mut rec.imputation {
+                let mut g = Graph::new();
+                let logits = imp.logits(&mut g, &b.users, &b.items);
+                let rt = g.sigmoid(logits);
+                let rhat = g.constant(Tensor::col_vec(&pred_vals));
+                let e_imp = g.squared_error(rhat, rt);
+                let ev = g.constant(Tensor::col_vec(&e_vals));
+                let diff_sq = g.squared_error(e_imp, ev);
+                let w = g.constant(Tensor::col_vec(&inv_p));
+                let imp_loss = g.weighted_mean(w, diff_sq);
+                opt_imp.minimize(g, imp_loss, &mut imp.params);
+            }
+            batch_loss
+        })
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

@@ -1,6 +1,6 @@
 //! Shared training-loop plumbing.
 
-use dt_data::{uniform_pairs, Dataset, Interaction, PairSet};
+use dt_data::{uniform_pairs, BatchIter, Dataset, Interaction, PairSet};
 use dt_models::propensity::LogisticMfPropensity;
 use dt_tensor::SplitMix64;
 
@@ -39,6 +39,37 @@ impl Batch {
     pub fn is_empty(&self) -> bool {
         self.users.is_empty()
     }
+}
+
+/// The epoch loop of every trainer: `cfg.epochs` shuffled passes over the
+/// training log in mini-batches of `cfg.batch_size`. `step` trains `rec`
+/// on one batch, drawing from the same generator, and returns the batch
+/// loss; after each epoch `aux`, when given, records one value of `rec`.
+/// Returns the mean batch loss of each epoch and the `aux` values, as
+/// [`crate::Recommender::train`] returns them.
+pub fn run_epochs<R>(
+    rec: &mut R,
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    rng: &mut SplitMix64,
+    aux: Option<fn(&R) -> f64>,
+    mut step: impl FnMut(&mut R, &Batch, &mut SplitMix64) -> f64,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut losses = Vec::with_capacity(cfg.epochs);
+    let mut aux_trace = Vec::new();
+    for _ in 0..cfg.epochs {
+        let mut total = 0.0;
+        let mut n = 0usize;
+        for raw in BatchIter::new(&ds.train, cfg.batch_size, rng) {
+            total += step(rec, &Batch::from_interactions(&raw), rng);
+            n += 1;
+        }
+        losses.push(total / n.max(1) as f64);
+        if let Some(aux) = aux {
+            aux_trace.push(aux(rec));
+        }
+    }
+    (losses, aux_trace)
 }
 
 /// A uniform sample from the full space `D` with observation labels —

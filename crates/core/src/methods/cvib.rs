@@ -15,17 +15,15 @@
 //! and a sampled unobserved batch, and `H` is the mean binary entropy over
 //! both.
 
-use std::time::Instant;
-
 use dt_autograd::Graph;
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::MfModel;
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::{uniform_batch, Batch};
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::{run_epochs, uniform_batch};
+use crate::recommender::Recommender;
 
 /// The CVIB trainer.
 pub struct CvibRecommender {
@@ -47,78 +45,58 @@ impl CvibRecommender {
 }
 
 impl Recommender for CvibRecommender {
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
         let observed_set = ds.train.pair_set();
-        let h = self.cfg.hyper;
-        let mut opt = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
+        let cfg = self.cfg;
+        let h = cfg.hyper;
+        let mut opt = cfg.adam();
 
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                let ub = uniform_batch(ds, b.len(), &observed_set, rng);
-                let mut g = Graph::new();
+        run_epochs(self, ds, &cfg, rng, None, |rec, b, rng| {
+            let ub = uniform_batch(ds, b.len(), &observed_set, rng);
+            let mut g = Graph::new();
 
-                // Factual loss.
-                let logits = self.model.logits(&mut g, &b.users, &b.items);
-                let y = g.constant(Tensor::col_vec(&b.ratings));
-                let factual = g.bce_mean(logits, y);
+            // Factual loss.
+            let logits = rec.model.logits(&mut g, &b.users, &b.items);
+            let y = g.constant(Tensor::col_vec(&b.ratings));
+            let factual = g.bce_mean(logits, y);
 
-                // Contrastive balancing between domains.
-                let pred_obs0 = g.sigmoid(logits);
-                let pred_obs = g.mean(pred_obs0);
-                let miss_logits = self.model.logits(&mut g, &ub.users, &ub.items);
-                let pred_miss0 = g.sigmoid(miss_logits);
-                let pred_miss1 = g.mean(pred_miss0);
-                let pred_miss = g.clamp(pred_miss1, 1e-6, 1.0 - 1e-6);
-                let ln_miss = g.ln(pred_miss);
-                let t1 = g.mul(pred_obs, ln_miss);
-                let one = g.scalar(1.0);
-                let om_obs = g.sub(one, pred_obs);
-                let om_miss = {
-                    let one2 = g.scalar(1.0);
-                    g.sub(one2, pred_miss)
-                };
-                let ln_om = g.ln(om_miss);
-                let t2 = g.mul(om_obs, ln_om);
-                let s = g.add(t1, t2);
-                let contrastive = g.neg(s);
+            // Contrastive balancing between domains.
+            let pred_obs0 = g.sigmoid(logits);
+            let pred_obs = g.mean(pred_obs0);
+            let miss_logits = rec.model.logits(&mut g, &ub.users, &ub.items);
+            let pred_miss0 = g.sigmoid(miss_logits);
+            let pred_miss1 = g.mean(pred_miss0);
+            let pred_miss = g.clamp(pred_miss1, 1e-6, 1.0 - 1e-6);
+            let ln_miss = g.ln(pred_miss);
+            let t1 = g.mul(pred_obs, ln_miss);
+            let one = g.scalar(1.0);
+            let om_obs = g.sub(one, pred_obs);
+            let om_miss = {
+                let one2 = g.scalar(1.0);
+                g.sub(one2, pred_miss)
+            };
+            let ln_om = g.ln(om_miss);
+            let t2 = g.mul(om_obs, ln_om);
+            let s = g.add(t1, t2);
+            let contrastive = g.neg(s);
 
-                // Confidence penalty: reward entropy on both domains.
-                let probs_all = {
-                    let p1 = g.sigmoid(logits);
-                    let p2 = g.sigmoid(miss_logits);
-                    // both are n×1; stack as one row vector
-                    let r1 = g.transpose(p1);
-                    let r2 = g.transpose(p2);
-                    g.concat_cols(r1, r2)
-                };
-                let entropy = g.entropy_penalty(probs_all);
+            // Confidence penalty: reward entropy on both domains.
+            let probs_all = {
+                let p1 = g.sigmoid(logits);
+                let p2 = g.sigmoid(miss_logits);
+                // both are n×1; stack as one row vector
+                let r1 = g.transpose(p1);
+                let r2 = g.transpose(p2);
+                g.concat_cols(r1, r2)
+            };
+            let entropy = g.entropy_penalty(probs_all);
 
-                let cw = g.mul_scalar(contrastive, h.alpha);
-                let ew = g.mul_scalar(entropy, -h.gamma);
-                let l1 = g.add(factual, cw);
-                let loss = g.add(l1, ew);
-
-                epoch_loss += g.item(loss);
-                n += 1;
-                g.backward(loss, &mut self.model.params);
-                drop(g); // release the tape's table Rcs so the step mutates in place
-                opt.step(&mut self.model.params);
-                self.model.params.zero_grad();
-            }
-            trace.push(epoch_loss / n.max(1) as f64);
-        }
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: Vec::new(),
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+            let cw = g.mul_scalar(contrastive, h.alpha);
+            let ew = g.mul_scalar(entropy, -h.gamma);
+            let l1 = g.add(factual, cw);
+            let loss = g.add(l1, ew);
+            opt.minimize(g, loss, &mut rec.model.params)
+        })
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

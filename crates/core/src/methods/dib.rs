@@ -10,17 +10,15 @@
 //! the auxiliary block is consumed: DIB discards it at test time, DT feeds
 //! it to a propensity head.
 
-use std::time::Instant;
-
 use dt_autograd::Graph;
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::{DisentangledConfig, DisentangledMf};
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::Batch;
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::run_epochs;
+use crate::recommender::Recommender;
 
 /// The DIB trainer. Reuses [`DisentangledMf`]: the "primary" block is the
 /// unbiased component (rating head), the full embedding is the biased
@@ -54,55 +52,34 @@ impl DibRecommender {
 }
 
 impl Recommender for DibRecommender {
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
-        let h = self.cfg.hyper;
-        let mut opt = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
-        let mut aux = Vec::with_capacity(self.cfg.epochs);
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
+        let cfg = self.cfg;
+        let h = cfg.hyper;
+        let mut opt = cfg.adam();
+        let scale: fn(&Self) -> f64 = |rec| rec.model.disentangle_scale();
 
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                let mut g = Graph::new();
+        run_epochs(self, ds, &cfg, rng, Some(scale), |rec, b, _| {
+            let mut g = Graph::new();
 
-                // Training-time prediction uses the full embedding.
-                let full_logits = self.model.propensity_logits(&mut g, &b.users, &b.items);
-                let y = g.constant(Tensor::col_vec(&b.ratings));
-                let full_loss = g.bce_mean(full_logits, y);
+            // Training-time prediction uses the full embedding.
+            let full_logits = rec.model.propensity_logits(&mut g, &b.users, &b.items);
+            let y = g.constant(Tensor::col_vec(&b.ratings));
+            let full_loss = g.bce_mean(full_logits, y);
 
-                // The unbiased block must be predictive on its own.
-                let unbiased_logits = self.model.rating_logits(&mut g, &b.users, &b.items);
-                let y2 = g.constant(Tensor::col_vec(&b.ratings));
-                let unbiased_loss = g.bce_mean(unbiased_logits, y2);
+            // The unbiased block must be predictive on its own.
+            let unbiased_logits = rec.model.rating_logits(&mut g, &b.users, &b.items);
+            let y2 = g.constant(Tensor::col_vec(&b.ratings));
+            let unbiased_loss = g.bce_mean(unbiased_logits, y2);
 
-                // Independence between the blocks.
-                let ortho = self.model.disentangle_loss(&mut g);
+            // Independence between the blocks.
+            let ortho = rec.model.disentangle_loss(&mut g);
 
-                let uw = g.mul_scalar(unbiased_loss, h.alpha);
-                let ow = g.mul_scalar(ortho, h.beta);
-                let l1 = g.add(full_loss, uw);
-                let loss = g.add(l1, ow);
-
-                epoch_loss += g.item(loss);
-                n += 1;
-                g.backward(loss, &mut self.model.params);
-                drop(g); // release the tape's table Rcs so the step mutates in place
-                opt.step(&mut self.model.params);
-                self.model.params.zero_grad();
-            }
-            trace.push(epoch_loss / n.max(1) as f64);
-            aux.push(self.model.disentangle_scale());
-        }
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: aux,
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+            let uw = g.mul_scalar(unbiased_loss, h.alpha);
+            let ow = g.mul_scalar(ortho, h.beta);
+            let l1 = g.add(full_loss, uw);
+            let loss = g.add(l1, ow);
+            opt.minimize(g, loss, &mut rec.model.params)
+        })
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

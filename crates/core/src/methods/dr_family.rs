@@ -16,18 +16,16 @@
 //! | `TdrJl` (TDR-JL)    | learned MF + targeted `ε/p̂` | `1/p̂` | |
 //! | `Stable` (Stable-DR)| learned MF | self-normalised `1/p̂` | SNIPS-style denominators |
 
-use std::time::Instant;
-
 use dt_autograd::Graph;
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::propensity::LogisticMfPropensity;
 use dt_models::MfModel;
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::{fit_mar_propensity, inverse_propensities, uniform_batch, Batch};
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::{fit_mar_propensity, inverse_propensities, run_epochs, uniform_batch};
+use crate::recommender::Recommender;
 
 /// Which member of the DR family to train.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,161 +135,139 @@ impl DrRecommender {
 }
 
 impl Recommender for DrRecommender {
-    #[allow(clippy::too_many_lines)]
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
-        let prop = fit_mar_propensity(ds, &self.cfg, rng);
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
+        let cfg = self.cfg;
+        let prop = fit_mar_propensity(ds, &cfg, rng);
         let observed_set = ds.train.pair_set();
         let density = ds.train.density();
 
-        let mut opt_pred = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut opt_imp = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
+        let mut opt_pred = cfg.adam();
+        let mut opt_imp = cfg.adam();
+        let traces = run_epochs(self, ds, &cfg, rng, None, |rec, b, rng| {
+            let ub = uniform_batch(ds, b.len(), &observed_set, rng);
+            let inv_p = inverse_propensities(&prop, b, cfg.prop_clip);
+            let inv_p_unif: Vec<f64> = ub
+                .users
+                .iter()
+                .zip(&ub.items)
+                .map(|(&u, &i)| 1.0 / prop.predict(u, i).max(cfg.prop_clip))
+                .collect();
 
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                let ub = uniform_batch(ds, b.len(), &observed_set, rng);
-                let inv_p = inverse_propensities(&prop, &b, self.cfg.prop_clip);
-                let inv_p_unif: Vec<f64> = ub
-                    .users
-                    .iter()
-                    .zip(&ub.items)
-                    .map(|(&u, &i)| 1.0 / prop.predict(u, i).max(self.cfg.prop_clip))
-                    .collect();
+            // --- pseudo-labels (treated as given by the prediction
+            //     step; ê = (r̂ − r̃)² stays live in the prediction
+            //     model) ---------------------------------------------
+            let r_tilde_obs = rec.pseudo_labels(&b.users, &b.items);
+            let r_tilde_unif = rec.pseudo_labels(&ub.users, &ub.items);
 
-                // --- pseudo-labels (treated as given by the prediction
-                //     step; ê = (r̂ − r̃)² stays live in the prediction
-                //     model) ---------------------------------------------
-                let r_tilde_obs = self.pseudo_labels(&b.users, &b.items);
-                let r_tilde_unif = self.pseudo_labels(&ub.users, &ub.items);
+            // Current prediction errors as values (for the targeted
+            // correction and the imputation step).
+            let pairs_obs: Vec<(usize, usize)> = b
+                .users
+                .iter()
+                .zip(&b.items)
+                .map(|(&u, &i)| (u, i))
+                .collect();
+            let preds = rec.model.predict(&pairs_obs);
+            let e_vals: Vec<f64> = preds
+                .iter()
+                .zip(&b.ratings)
+                .map(|(p, r)| (p - r) * (p - r))
+                .collect();
+            let e_hat_vals: Vec<f64> = preds
+                .iter()
+                .zip(&r_tilde_obs)
+                .map(|(p, rt)| (p - rt) * (p - rt))
+                .collect();
 
-                // Current prediction errors as values (for the targeted
-                // correction and the imputation step).
-                let pairs_obs: Vec<(usize, usize)> = b
-                    .users
+            // Targeted correction (TDR): ε zeroes the empirical DR bias
+            // term Σ[(e − ê − ε/p̂)/p̂] ⇒ ε = Σ[(e−ê)/p̂] / Σ[1/p̂²].
+            // ε enters the loss as a constant shift (its gradient
+            // channel is the corrected imputation target below).
+            let eps = if rec.variant.targeted() {
+                let num: f64 = e_vals
                     .iter()
-                    .zip(&b.items)
-                    .map(|(&u, &i)| (u, i))
-                    .collect();
-                let preds = self.model.predict(&pairs_obs);
-                let e_vals: Vec<f64> = preds
-                    .iter()
-                    .zip(&b.ratings)
-                    .map(|(p, r)| (p - r) * (p - r))
-                    .collect();
-                let e_hat_vals: Vec<f64> = preds
-                    .iter()
-                    .zip(&r_tilde_obs)
-                    .map(|(p, rt)| (p - rt) * (p - rt))
-                    .collect();
+                    .zip(&e_hat_vals)
+                    .zip(&inv_p)
+                    .map(|((e, eh), ip)| (e - eh) * ip)
+                    .sum();
+                let den: f64 = inv_p.iter().map(|ip| ip * ip).sum::<f64>().max(1e-12);
+                num / den
+            } else {
+                0.0
+            };
 
-                // Targeted correction (TDR): ε zeroes the empirical DR bias
-                // term Σ[(e − ê − ε/p̂)/p̂] ⇒ ε = Σ[(e−ê)/p̂] / Σ[1/p̂²].
-                // ε enters the loss as a constant shift (its gradient
-                // channel is the corrected imputation target below).
-                let eps = if self.variant.targeted() {
-                    let num: f64 = e_vals
-                        .iter()
-                        .zip(&e_hat_vals)
-                        .zip(&inv_p)
-                        .map(|((e, eh), ip)| (e - eh) * ip)
-                        .sum();
-                    let den: f64 = inv_p.iter().map(|ip| ip * ip).sum::<f64>().max(1e-12);
-                    num / den
+            // --- prediction step --------------------------------------
+            let batch_loss = {
+                let mut g = Graph::new();
+                let logits = rec.model.logits(&mut g, &b.users, &b.items);
+                let pred = g.sigmoid(logits);
+                let y = g.constant(Tensor::col_vec(&b.ratings));
+                let err = g.squared_error(pred, y);
+                // ê_obs = (r̂ − r̃)², live in the prediction model.
+                let rt = g.constant(Tensor::col_vec(&r_tilde_obs));
+                let e_hat_obs = g.squared_error(pred, rt);
+                let eps_shift: Vec<f64> = inv_p.iter().map(|ip| eps * ip).collect();
+                let eps_v = g.constant(Tensor::col_vec(&eps_shift));
+                let diff0 = g.sub(err, e_hat_obs);
+                let diff = g.sub(diff0, eps_v);
+                let w = g.constant(Tensor::col_vec(&inv_p));
+                let correction = if rec.variant == DrVariant::Stable {
+                    g.self_normalized_mean(w, diff)
                 } else {
-                    0.0
+                    let wm = g.weighted_mean(w, diff);
+                    g.mul_scalar(wm, density)
                 };
+                // Base term over the uniform full-space sample:
+                // mean[(r̂ − r̃)²] — this is where the pseudo-labels
+                // supervise the unobserved pairs.
+                let logits_u = rec.model.logits(&mut g, &ub.users, &ub.items);
+                let pred_u = g.sigmoid(logits_u);
+                let rt_u = g.constant(Tensor::col_vec(&r_tilde_unif));
+                let e_hat_unif = g.squared_error(pred_u, rt_u);
+                let base0 = g.mean(e_hat_unif);
+                let eps_base: f64 =
+                    eps * inv_p_unif.iter().sum::<f64>() / inv_p_unif.len().max(1) as f64;
+                let eps_b = g.scalar(eps_base);
+                let base = g.add(base0, eps_b);
+                let loss = g.add(base, correction);
+                opt_pred.minimize(g, loss, &mut rec.model.params)
+            };
 
-                // --- prediction step --------------------------------------
-                {
-                    let mut g = Graph::new();
-                    let logits = self.model.logits(&mut g, &b.users, &b.items);
-                    let pred = g.sigmoid(logits);
-                    let y = g.constant(Tensor::col_vec(&b.ratings));
-                    let err = g.squared_error(pred, y);
-                    // ê_obs = (r̂ − r̃)², live in the prediction model.
-                    let rt = g.constant(Tensor::col_vec(&r_tilde_obs));
-                    let e_hat_obs = g.squared_error(pred, rt);
-                    let eps_shift: Vec<f64> = inv_p.iter().map(|ip| eps * ip).collect();
-                    let eps_v = g.constant(Tensor::col_vec(&eps_shift));
-                    let diff0 = g.sub(err, e_hat_obs);
-                    let diff = g.sub(diff0, eps_v);
-                    let w = g.constant(Tensor::col_vec(&inv_p));
-                    let correction = if self.variant == DrVariant::Stable {
-                        g.self_normalized_mean(w, diff)
-                    } else {
-                        let wm = g.weighted_mean(w, diff);
-                        g.mul_scalar(wm, density)
-                    };
-                    // Base term over the uniform full-space sample:
-                    // mean[(r̂ − r̃)²] — this is where the pseudo-labels
-                    // supervise the unobserved pairs.
-                    let logits_u = self.model.logits(&mut g, &ub.users, &ub.items);
-                    let pred_u = g.sigmoid(logits_u);
-                    let rt_u = g.constant(Tensor::col_vec(&r_tilde_unif));
-                    let e_hat_unif = g.squared_error(pred_u, rt_u);
-                    let base0 = g.mean(e_hat_unif);
-                    let eps_base: f64 =
-                        eps * inv_p_unif.iter().sum::<f64>() / inv_p_unif.len().max(1) as f64;
-                    let eps_b = g.scalar(eps_base);
-                    let base = g.add(base0, eps_b);
-                    let loss = g.add(base, correction);
-                    epoch_loss += g.item(loss);
-                    n += 1;
-                    g.backward(loss, &mut self.model.params);
-                    drop(g); // release the tape's table Rcs so the step mutates in place
-                    opt_pred.step(&mut self.model.params);
-                    self.model.params.zero_grad();
-                }
-
-                // --- imputation step --------------------------------------
-                let weights = self.imputation_weight(&inv_p);
-                if let Some(imp) = &mut self.imputation {
-                    // Train r̃ so the implied error (r̂ − r̃)² matches the
-                    // realized error (ε-corrected for the targeted
-                    // variants), with the variant's weighting.
-                    let targets: Vec<f64> = e_vals
-                        .iter()
-                        .zip(&inv_p)
-                        .map(|(e, ip)| (e - eps * ip).max(0.0))
-                        .collect();
-                    let mut g = Graph::new();
-                    let logits = imp.logits(&mut g, &b.users, &b.items);
-                    let rt = g.sigmoid(logits);
-                    let rhat = g.constant(Tensor::col_vec(&preds));
-                    let e_imp = g.squared_error(rhat, rt);
-                    let tv = g.constant(Tensor::col_vec(&targets));
-                    let diff_sq = g.squared_error(e_imp, tv);
-                    let w = g.constant(Tensor::col_vec(&weights));
-                    let imp_loss = if self.variant == DrVariant::Stable {
-                        g.self_normalized_mean(w, diff_sq)
-                    } else {
-                        g.weighted_mean(w, diff_sq)
-                    };
-                    g.backward(imp_loss, &mut imp.params);
-                    drop(g); // release the tape's table Rcs so the step mutates in place
-                    opt_imp.step(&mut imp.params);
-                    imp.params.zero_grad();
+            // --- imputation step --------------------------------------
+            let weights = rec.imputation_weight(&inv_p);
+            if let Some(imp) = &mut rec.imputation {
+                // Train r̃ so the implied error (r̂ − r̃)² matches the
+                // realized error (ε-corrected for the targeted
+                // variants), with the variant's weighting.
+                let targets: Vec<f64> = e_vals
+                    .iter()
+                    .zip(&inv_p)
+                    .map(|(e, ip)| (e - eps * ip).max(0.0))
+                    .collect();
+                let mut g = Graph::new();
+                let logits = imp.logits(&mut g, &b.users, &b.items);
+                let rt = g.sigmoid(logits);
+                let rhat = g.constant(Tensor::col_vec(&preds));
+                let e_imp = g.squared_error(rhat, rt);
+                let tv = g.constant(Tensor::col_vec(&targets));
+                let diff_sq = g.squared_error(e_imp, tv);
+                let w = g.constant(Tensor::col_vec(&weights));
+                let imp_loss = if rec.variant == DrVariant::Stable {
+                    g.self_normalized_mean(w, diff_sq)
                 } else {
-                    // Constant pseudo-label: exponential moving average of
-                    // the observed ratings.
-                    let batch_mean = b.ratings.iter().sum::<f64>() / b.ratings.len().max(1) as f64;
-                    self.const_imp = 0.9 * self.const_imp + 0.1 * batch_mean;
-                }
+                    g.weighted_mean(w, diff_sq)
+                };
+                opt_imp.minimize(g, imp_loss, &mut imp.params);
+            } else {
+                // Constant pseudo-label: exponential moving average of
+                // the observed ratings.
+                let batch_mean = b.ratings.iter().sum::<f64>() / b.ratings.len().max(1) as f64;
+                rec.const_imp = 0.9 * rec.const_imp + 0.1 * batch_mean;
             }
-            trace.push(epoch_loss / n.max(1) as f64);
-        }
+            batch_loss
+        });
         self.prop = Some(prop);
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: Vec::new(),
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+        traces
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

@@ -19,17 +19,15 @@
 //!   + γ · (‖P′Q′ᵀ‖²_F + ‖P″Q″ᵀ‖²_F) — regularisation (Gram trick)
 //! ```
 
-use std::time::Instant;
-
 use dt_autograd::Graph;
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::{DisentangledConfig, DisentangledMf, MfModel};
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::{uniform_batch, Batch};
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::{run_epochs, uniform_batch};
+use crate::recommender::Recommender;
 
 /// Which debiasing estimator drives the rating head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,150 +104,127 @@ impl DtRecommender {
 }
 
 impl Recommender for DtRecommender {
-    #[allow(clippy::too_many_lines)]
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
         let observed_set = ds.train.pair_set();
         let density = ds.train.density();
-        let h = self.cfg.hyper;
+        let cfg = self.cfg;
+        let h = cfg.hyper;
 
-        let mut opt = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut opt_imp = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
-        let mut aux = Vec::with_capacity(self.cfg.epochs);
+        let mut opt = cfg.adam();
+        let mut opt_imp = cfg.adam();
+        let scale: fn(&Self) -> f64 = |rec| rec.model.disentangle_scale();
 
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                // The propensity loss is a full-space objective: give it a
-                // 4× Monte-Carlo sample so the head converges on the same
-                // schedule as the rating head.
-                let ub = uniform_batch(ds, 4 * b.len(), &observed_set, rng);
+        run_epochs(self, ds, &cfg, rng, Some(scale), |rec, b, rng| {
+            // The propensity loss is a full-space objective: give it a
+            // 4× Monte-Carlo sample so the head converges on the same
+            // schedule as the rating head.
+            let ub = uniform_batch(ds, 4 * b.len(), &observed_set, rng);
 
-                // Propensities at the observed pairs, detached: the
-                // debiasing weights must not push the propensity head.
-                let inv_p: Vec<f64> = self
-                    .head_propensities(&b.users, &b.items)
-                    .iter()
-                    .map(|p| 1.0 / p)
-                    .collect();
+            // Propensities at the observed pairs, detached: the
+            // debiasing weights must not push the propensity head.
+            let inv_p: Vec<f64> = rec
+                .head_propensities(&b.users, &b.items)
+                .iter()
+                .map(|p| 1.0 / p)
+                .collect();
 
-                // Pseudo-labels r̃ from the imputation model (DT-DR only),
-                // treated as given for this pass; the imputed error
-                // ê = (r̂ − r̃)² stays a live function of the rating head,
-                // which is how the unobserved space is supervised.
-                let r_tilde_obs: Option<Vec<f64>> = self
-                    .imputation
-                    .as_ref()
-                    .map(|imp| imp.predict_batch(&b.users, &b.items));
-                let r_tilde_unif: Option<Vec<f64>> = self
-                    .imputation
-                    .as_ref()
-                    .map(|imp| imp.predict_batch(&ub.users, &ub.items));
+            // Pseudo-labels r̃ from the imputation model (DT-DR only),
+            // treated as given for this pass; the imputed error
+            // ê = (r̂ − r̃)² stays a live function of the rating head,
+            // which is how the unobserved space is supervised.
+            let r_tilde_obs: Option<Vec<f64>> = rec
+                .imputation
+                .as_ref()
+                .map(|imp| imp.predict_batch(&b.users, &b.items));
+            let r_tilde_unif: Option<Vec<f64>> = rec
+                .imputation
+                .as_ref()
+                .map(|imp| imp.predict_batch(&ub.users, &ub.items));
 
-                // ---- main pass over the disentangled model ---------------
-                // One shared index list per side and batch: the rating and
-                // propensity heads (and the DR base term) gather through the
-                // same `Rc` instead of re-copying the lists per head.
-                let b_users = std::rc::Rc::new(b.users.clone());
-                let b_items = std::rc::Rc::new(b.items.clone());
-                let ub_users = std::rc::Rc::new(ub.users.clone());
-                let ub_items = std::rc::Rc::new(ub.items.clone());
-                let mut g = Graph::new();
+            // ---- main pass over the disentangled model ---------------
+            // One shared index list per side and batch: the rating and
+            // propensity heads (and the DR base term) gather through the
+            // same `Rc` instead of re-copying the lists per head.
+            let b_users = std::rc::Rc::new(b.users.clone());
+            let b_items = std::rc::Rc::new(b.items.clone());
+            let ub_users = std::rc::Rc::new(ub.users.clone());
+            let ub_items = std::rc::Rc::new(ub.items.clone());
+            let mut g = Graph::new();
 
-                let logits = self.model.rating_logits_indexed(&mut g, &b_users, &b_items);
-                let pred = g.sigmoid(logits);
-                let y = g.constant(Tensor::col_vec(&b.ratings));
-                let err = g.squared_error(pred, y);
-                let w = g.constant(Tensor::col_vec(&inv_p));
-                let debias_loss = match (&self.variant, &r_tilde_obs) {
-                    (DtVariant::Ips, _) | (DtVariant::Dr, None) => g.weighted_mean(w, err),
-                    (DtVariant::Dr, Some(rt)) => {
-                        let rtv = g.constant(Tensor::col_vec(rt));
-                        let e_hat_obs = g.squared_error(pred, rtv);
-                        let diff = g.sub(err, e_hat_obs);
-                        let corr0 = g.weighted_mean(w, diff);
-                        let corr = g.mul_scalar(corr0, density);
-                        // Base term: imputed error over the uniform sample,
-                        // live in the rating head.
-                        let logits_u = self
-                            .model
-                            .rating_logits_indexed(&mut g, &ub_users, &ub_items);
-                        let pred_u = g.sigmoid(logits_u);
-                        let rt_u = g.constant(Tensor::col_vec(
-                            r_tilde_unif.as_ref().expect("Dr variant has pseudo-labels"),
-                        ));
-                        let e_hat_unif = g.squared_error(pred_u, rt_u);
-                        let base = g.mean(e_hat_unif);
-                        g.add(base, corr)
-                    }
-                };
-
-                // Propensity loss over the entire space (Monte Carlo).
-                let prop_logits = self
-                    .model
-                    .propensity_logits_indexed(&mut g, &ub_users, &ub_items);
-                let o_labels = g.constant(Tensor::col_vec(&ub.observed));
-                let prop_loss = g.bce_mean(prop_logits, o_labels);
-
-                let mut loss = {
-                    let weighted = g.mul_scalar(prop_loss, h.alpha);
-                    g.add(debias_loss, weighted)
-                };
-                if self.use_disentangle {
-                    let dis = self.model.disentangle_loss(&mut g);
-                    let dis_w = g.mul_scalar(dis, h.beta);
-                    loss = g.add(loss, dis_w);
+            let logits = rec.model.rating_logits_indexed(&mut g, &b_users, &b_items);
+            let pred = g.sigmoid(logits);
+            let y = g.constant(Tensor::col_vec(&b.ratings));
+            let err = g.squared_error(pred, y);
+            let w = g.constant(Tensor::col_vec(&inv_p));
+            let debias_loss = match (&rec.variant, &r_tilde_obs) {
+                (DtVariant::Ips, _) | (DtVariant::Dr, None) => g.weighted_mean(w, err),
+                (DtVariant::Dr, Some(rt)) => {
+                    let rtv = g.constant(Tensor::col_vec(rt));
+                    let e_hat_obs = g.squared_error(pred, rtv);
+                    let diff = g.sub(err, e_hat_obs);
+                    let corr0 = g.weighted_mean(w, diff);
+                    let corr = g.mul_scalar(corr0, density);
+                    // Base term: imputed error over the uniform sample,
+                    // live in the rating head.
+                    let logits_u = rec
+                        .model
+                        .rating_logits_indexed(&mut g, &ub_users, &ub_items);
+                    let pred_u = g.sigmoid(logits_u);
+                    let rt_u = g.constant(Tensor::col_vec(
+                        r_tilde_unif.as_ref().expect("Dr variant has pseudo-labels"),
+                    ));
+                    let e_hat_unif = g.squared_error(pred_u, rt_u);
+                    let base = g.mean(e_hat_unif);
+                    g.add(base, corr)
                 }
-                if self.use_regularization {
-                    let reg = self.model.regularization_loss(&mut g);
-                    let reg_w = g.mul_scalar(reg, h.gamma);
-                    loss = g.add(loss, reg_w);
-                }
+            };
 
-                epoch_loss += g.item(loss);
-                n += 1;
-                g.backward(loss, &mut self.model.params);
-                drop(g); // release the tape's table Rcs so the step mutates in place
-                opt.step(&mut self.model.params);
-                self.model.params.zero_grad();
+            // Propensity loss over the entire space (Monte Carlo).
+            let prop_logits = rec
+                .model
+                .propensity_logits_indexed(&mut g, &ub_users, &ub_items);
+            let o_labels = g.constant(Tensor::col_vec(&ub.observed));
+            let prop_loss = g.bce_mean(prop_logits, o_labels);
 
-                // ---- imputation pass (DT-DR): train r̃ so the implied
-                //      error (r̂ − r̃)² matches the realized error ----------
-                if let Some(imp) = &mut self.imputation {
-                    let preds = self.model.predict_rating_batch(&b.users, &b.items);
-                    let e_vals: Vec<f64> = preds
-                        .iter()
-                        .zip(&b.ratings)
-                        .map(|(p, r)| (p - r) * (p - r))
-                        .collect();
-                    let mut gi = Graph::new();
-                    let imp_logits = imp.logits_indexed(&mut gi, &b_users, &b_items);
-                    let rt = gi.sigmoid(imp_logits);
-                    let rhat = gi.constant(Tensor::col_vec(&preds));
-                    let e_imp = gi.squared_error(rhat, rt);
-                    let ev = gi.constant(Tensor::col_vec(&e_vals));
-                    let diff_sq = gi.squared_error(e_imp, ev);
-                    let wv = gi.constant(Tensor::col_vec(&inv_p));
-                    let imp_loss = gi.weighted_mean(wv, diff_sq);
-                    gi.backward(imp_loss, &mut imp.params);
-                    drop(gi); // release the tape's table Rcs so the step mutates in place
-                    opt_imp.step(&mut imp.params);
-                    imp.params.zero_grad();
-                }
+            let mut loss = {
+                let weighted = g.mul_scalar(prop_loss, h.alpha);
+                g.add(debias_loss, weighted)
+            };
+            if rec.use_disentangle {
+                let dis = rec.model.disentangle_loss(&mut g);
+                let dis_w = g.mul_scalar(dis, h.beta);
+                loss = g.add(loss, dis_w);
             }
-            trace.push(epoch_loss / n.max(1) as f64);
-            aux.push(self.model.disentangle_scale());
-        }
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: aux,
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+            if rec.use_regularization {
+                let reg = rec.model.regularization_loss(&mut g);
+                let reg_w = g.mul_scalar(reg, h.gamma);
+                loss = g.add(loss, reg_w);
+            }
+
+            let batch_loss = opt.minimize(g, loss, &mut rec.model.params);
+
+            // ---- imputation pass (DT-DR): train r̃ so the implied
+            //      error (r̂ − r̃)² matches the realized error ----------
+            if let Some(imp) = &mut rec.imputation {
+                let preds = rec.model.predict_rating_batch(&b.users, &b.items);
+                let e_vals: Vec<f64> = preds
+                    .iter()
+                    .zip(&b.ratings)
+                    .map(|(p, r)| (p - r) * (p - r))
+                    .collect();
+                let mut gi = Graph::new();
+                let imp_logits = imp.logits_indexed(&mut gi, &b_users, &b_items);
+                let rt = gi.sigmoid(imp_logits);
+                let rhat = gi.constant(Tensor::col_vec(&preds));
+                let e_imp = gi.squared_error(rhat, rt);
+                let ev = gi.constant(Tensor::col_vec(&e_vals));
+                let diff_sq = gi.squared_error(e_imp, ev);
+                let wv = gi.constant(Tensor::col_vec(&inv_p));
+                let imp_loss = gi.weighted_mean(wv, diff_sq);
+                opt_imp.minimize(gi, imp_loss, &mut imp.params);
+            }
+            batch_loss
+        })
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

@@ -1,18 +1,16 @@
 //! Vanilla IPS (Schnabel et al. 2016): two-stage inverse propensity
 //! scoring with a logistic-MF MAR propensity (eq. (3)).
 
-use std::time::Instant;
-
 use dt_autograd::Graph;
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::propensity::LogisticMfPropensity;
 use dt_models::MfModel;
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::{fit_mar_propensity, inverse_propensities, Batch};
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::{fit_mar_propensity, inverse_propensities, run_epochs};
+use crate::recommender::Recommender;
 
 /// Two-stage IPS: fit `p̂(x)`, then minimise the reweighted squared error
 /// `mean_O[(r − r̂)² / p̂]`.
@@ -47,47 +45,29 @@ impl IpsRecommender {
 }
 
 impl Recommender for IpsRecommender {
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
-                                    // Stage 1: MAR propensity.
-        let prop = fit_mar_propensity(ds, &self.cfg, rng);
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
+        let cfg = self.cfg;
+        // Stage 1: MAR propensity.
+        let prop = fit_mar_propensity(ds, &cfg, rng);
         // Stage 2: reweighted prediction model.
-        let mut opt = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                let inv_p = inverse_propensities(&prop, &b, self.cfg.prop_clip);
-                let mut g = Graph::new();
-                let logits = self.model.logits(&mut g, &b.users, &b.items);
-                let pred = g.sigmoid(logits);
-                let y = g.constant(Tensor::col_vec(&b.ratings));
-                let err = g.squared_error(pred, y);
-                let w = g.constant(Tensor::col_vec(&inv_p));
-                let loss = if self.self_normalized {
-                    g.self_normalized_mean(w, err)
-                } else {
-                    g.weighted_mean(w, err)
-                };
-                epoch_loss += g.item(loss);
-                n += 1;
-                g.backward(loss, &mut self.model.params);
-                drop(g); // release the tape's table Rcs so the step mutates in place
-                opt.step(&mut self.model.params);
-                self.model.params.zero_grad();
-            }
-            trace.push(epoch_loss / n.max(1) as f64);
-        }
+        let mut opt = cfg.adam();
+        let traces = run_epochs(self, ds, &cfg, rng, None, |rec, b, _| {
+            let inv_p = inverse_propensities(&prop, b, cfg.prop_clip);
+            let mut g = Graph::new();
+            let logits = rec.model.logits(&mut g, &b.users, &b.items);
+            let pred = g.sigmoid(logits);
+            let y = g.constant(Tensor::col_vec(&b.ratings));
+            let err = g.squared_error(pred, y);
+            let w = g.constant(Tensor::col_vec(&inv_p));
+            let loss = if rec.self_normalized {
+                g.self_normalized_mean(w, err)
+            } else {
+                g.weighted_mean(w, err)
+            };
+            opt.minimize(g, loss, &mut rec.model.params)
+        });
         self.prop = Some(prop);
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: Vec::new(),
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+        traces
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

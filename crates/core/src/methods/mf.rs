@@ -1,17 +1,15 @@
 //! The naive baseline: matrix factorisation on the observed ratings only
 //! (eq. (2) — unbiased under MCAR, biased otherwise).
 
-use std::time::Instant;
-
 use dt_autograd::Graph;
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::MfModel;
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::Batch;
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::run_epochs;
+use crate::recommender::Recommender;
 
 /// Plain MF trained with BCE on the observed log.
 pub struct MfRecommender {
@@ -33,35 +31,16 @@ impl MfRecommender {
 }
 
 impl Recommender for MfRecommender {
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
-        let mut opt = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                let mut g = Graph::new();
-                let logits = self.model.logits(&mut g, &b.users, &b.items);
-                let y = g.constant(Tensor::col_vec(&b.ratings));
-                let loss = g.bce_mean(logits, y);
-                epoch_loss += g.item(loss);
-                n += 1;
-                g.backward(loss, &mut self.model.params);
-                drop(g); // release the tape's table Rcs so the step mutates in place
-                opt.step(&mut self.model.params);
-                self.model.params.zero_grad();
-            }
-            trace.push(epoch_loss / n.max(1) as f64);
-        }
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: Vec::new(),
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
+        let cfg = self.cfg;
+        let mut opt = cfg.adam();
+        run_epochs(self, ds, &cfg, rng, None, |rec, b, _| {
+            let mut g = Graph::new();
+            let logits = rec.model.logits(&mut g, &b.users, &b.items);
+            let y = g.constant(Tensor::col_vec(&b.ratings));
+            let loss = g.bce_mean(logits, y);
+            opt.minimize(g, loss, &mut rec.model.params)
+        })
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

@@ -14,18 +14,16 @@
 //! term `mean_O[(e − ê)·(w − 1/density)]`-style residual used by the MR
 //! objective — alongside the prediction model's DR loss.
 
-use std::time::Instant;
-
 use dt_autograd::Graph;
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::propensity::{ConstantPropensity, NaiveBayesAdapter, PropensityHead};
 use dt_models::MfModel;
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::{fit_mar_propensity, Batch};
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::{fit_mar_propensity, run_epochs};
+use crate::recommender::Recommender;
 
 /// The MR trainer.
 pub struct MrRecommender {
@@ -75,107 +73,89 @@ impl MrRecommender {
 }
 
 impl Recommender for MrRecommender {
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
-                                    // Build the candidate set.
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
+        let cfg = self.cfg;
+        // Build the candidate set.
         self.heads = vec![Box::new(ConstantPropensity::fit(ds))];
-        let logistic = fit_mar_propensity(ds, &self.cfg, rng);
+        let logistic = fit_mar_propensity(ds, &cfg, rng);
         self.heads.push(Box::new(logistic));
         if !ds.test.is_empty() {
             self.heads
-                .push(Box::new(NaiveBayesAdapter::fit(ds, self.cfg.prop_clip)));
+                .push(Box::new(NaiveBayesAdapter::fit(ds, cfg.prop_clip)));
         }
         self.mix_logits = vec![0.0; self.heads.len()];
 
         let density = ds.train.density();
-        let mut opt = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
+        let mut opt = cfg.adam();
+        let (losses, _) = run_epochs(self, ds, &cfg, rng, None, |rec, b, _| {
+            let inv_p: Vec<f64> = (0..b.len())
+                .map(|k| rec.combined_inverse(b.users[k], b.items[k], b.ratings[k]))
+                .collect();
 
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                let inv_p: Vec<f64> = (0..b.len())
-                    .map(|k| self.combined_inverse(b.users[k], b.items[k], b.ratings[k]))
-                    .collect();
+            // Prediction step: DR with the combined weights and the
+            // constant imputation.
+            let e_vals: Vec<f64>;
+            let batch_loss = {
+                let mut g = Graph::new();
+                let logits = rec.model.logits(&mut g, &b.users, &b.items);
+                let pred = g.sigmoid(logits);
+                let y = g.constant(Tensor::col_vec(&b.ratings));
+                let err = g.squared_error(pred, y);
+                let eh = g.constant(Tensor::full(b.len(), 1, rec.const_imp));
+                let diff = g.sub(err, eh);
+                let w = g.constant(Tensor::col_vec(&inv_p));
+                let corr0 = g.weighted_mean(w, diff);
+                let corr = g.mul_scalar(corr0, density);
+                let base = g.scalar(rec.const_imp);
+                let loss = g.add(base, corr);
+                e_vals = g.value(err).data().to_vec();
+                opt.minimize(g, loss, &mut rec.model.params)
+            };
+            rec.const_imp = 0.9 * rec.const_imp
+                + 0.1 * (e_vals.iter().sum::<f64>() / e_vals.len().max(1) as f64);
 
-                // Prediction step: DR with the combined weights and the
-                // constant imputation.
-                let e_vals: Vec<f64>;
-                {
-                    let mut g = Graph::new();
-                    let logits = self.model.logits(&mut g, &b.users, &b.items);
-                    let pred = g.sigmoid(logits);
-                    let y = g.constant(Tensor::col_vec(&b.ratings));
-                    let err = g.squared_error(pred, y);
-                    let eh = g.constant(Tensor::full(b.len(), 1, self.const_imp));
-                    let diff = g.sub(err, eh);
-                    let w = g.constant(Tensor::col_vec(&inv_p));
-                    let corr0 = g.weighted_mean(w, diff);
-                    let corr = g.mul_scalar(corr0, density);
-                    let base = g.scalar(self.const_imp);
-                    let loss = g.add(base, corr);
-                    epoch_loss += g.item(loss);
-                    n += 1;
-                    e_vals = g.value(err).data().to_vec();
-                    g.backward(loss, &mut self.model.params);
-                    drop(g); // release the tape's table Rcs so the step mutates in place
-                    opt.step(&mut self.model.params);
-                    self.model.params.zero_grad();
-                }
-                self.const_imp = 0.9 * self.const_imp
-                    + 0.1 * (e_vals.iter().sum::<f64>() / e_vals.len().max(1) as f64);
-
-                // Mixture step: nudge the weights to shrink the MR
-                // self-diagnostic |mean_O[w·o] − 1| (a correct inverse
-                // propensity satisfies E[o·w] = 1 over D, i.e.
-                // density·mean_O[w] = 1). Numeric gradient over the few
-                // mixture logits.
-                let diagnostic = |logits: &[f64]| -> f64 {
-                    let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-                    let total: f64 = exps.iter().sum();
-                    let ws: Vec<f64> = exps.iter().map(|e| e / total).collect();
-                    let mean_inv: f64 = (0..b.len())
-                        .map(|k| {
-                            self.heads
-                                .iter()
-                                .zip(&ws)
-                                .map(|(h, w)| {
-                                    w / h
-                                        .propensity(b.users[k], b.items[k], b.ratings[k])
-                                        .max(self.cfg.prop_clip)
-                                })
-                                .sum::<f64>()
-                        })
-                        .sum::<f64>()
-                        / b.len().max(1) as f64;
-                    let resid = density * mean_inv - 1.0;
-                    resid * resid
-                };
-                let eps = 1e-4;
-                let mut grads = vec![0.0; self.mix_logits.len()];
-                for k in 0..self.mix_logits.len() {
-                    let mut plus = self.mix_logits.clone();
-                    plus[k] += eps;
-                    let mut minus = self.mix_logits.clone();
-                    minus[k] -= eps;
-                    grads[k] = (diagnostic(&plus) - diagnostic(&minus)) / (2.0 * eps);
-                }
-                for (l, gr) in self.mix_logits.iter_mut().zip(&grads) {
-                    *l -= self.cfg.lr * gr;
-                }
+            // Mixture step: nudge the weights to shrink the MR
+            // self-diagnostic |mean_O[w·o] − 1| (a correct inverse
+            // propensity satisfies E[o·w] = 1 over D, i.e.
+            // density·mean_O[w] = 1). Numeric gradient over the few
+            // mixture logits.
+            let diagnostic = |logits: &[f64]| -> f64 {
+                let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
+                let total: f64 = exps.iter().sum();
+                let ws: Vec<f64> = exps.iter().map(|e| e / total).collect();
+                let mean_inv: f64 = (0..b.len())
+                    .map(|k| {
+                        rec.heads
+                            .iter()
+                            .zip(&ws)
+                            .map(|(h, w)| {
+                                w / h
+                                    .propensity(b.users[k], b.items[k], b.ratings[k])
+                                    .max(cfg.prop_clip)
+                            })
+                            .sum::<f64>()
+                    })
+                    .sum::<f64>()
+                    / b.len().max(1) as f64;
+                let resid = density * mean_inv - 1.0;
+                resid * resid
+            };
+            let eps = 1e-4;
+            let mut grads = vec![0.0; rec.mix_logits.len()];
+            for k in 0..rec.mix_logits.len() {
+                let mut plus = rec.mix_logits.clone();
+                plus[k] += eps;
+                let mut minus = rec.mix_logits.clone();
+                minus[k] -= eps;
+                grads[k] = (diagnostic(&plus) - diagnostic(&minus)) / (2.0 * eps);
             }
-            trace.push(epoch_loss / n.max(1) as f64);
-        }
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: self.mix_weights(),
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+            for (l, gr) in rec.mix_logits.iter_mut().zip(&grads) {
+                *l -= cfg.lr * gr;
+            }
+            batch_loss
+        });
+        (losses, self.mix_weights())
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

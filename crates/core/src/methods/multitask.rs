@@ -14,17 +14,15 @@
 //! * **ESCM²-IPS / ESCM²-DR** — ESMM's entire-space losses *plus* the
 //!   λ-weighted IPS (resp. DR) risk as a counterfactual regulariser.
 
-use std::time::Instant;
-
 use dt_autograd::{Graph, Var};
-use dt_data::{BatchIter, Dataset};
+use dt_data::Dataset;
 use dt_models::{TowerConfig, TowerModel};
-use dt_optim::{Adam, Optimizer};
+use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
 
 use crate::config::TrainConfig;
-use crate::methods::common::{uniform_batch, Batch};
-use crate::recommender::{FitReport, Recommender};
+use crate::methods::common::{run_epochs, uniform_batch};
+use crate::recommender::Recommender;
 
 /// Which multi-task objective to train.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,141 +105,120 @@ impl MultiTaskRecommender {
 }
 
 impl Recommender for MultiTaskRecommender {
-    #[allow(clippy::too_many_lines)]
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
-        let start = Instant::now(); // lint: allow(r4): epoch wall-time telemetry only; never feeds the numerics
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
         let observed_set = ds.train.pair_set();
         let density = ds.train.density();
-        let mut opt = Adam::with_config(self.cfg.lr, 0.9, 0.999, 1e-8, self.cfg.l2);
-        let mut trace = Vec::with_capacity(self.cfg.epochs);
+        let cfg = self.cfg;
+        let mut opt = cfg.adam();
+        run_epochs(self, ds, &cfg, rng, None, |rec, b, rng| {
+            let ub = uniform_batch(ds, b.len(), &observed_set, rng);
+            let mut g = Graph::new();
 
-        for _ in 0..self.cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut n = 0usize;
-            for raw in BatchIter::new(&ds.train, self.cfg.batch_size, rng) {
-                let b = Batch::from_interactions(&raw);
-                let ub = uniform_batch(ds, b.len(), &observed_set, rng);
-                let mut g = Graph::new();
+            // --- entire-space CTR supervision (all variants) ----------
+            let ctr_unif = rec.model.ctr_logits(&mut g, &ub.users, &ub.items);
+            let o_labels = g.constant(Tensor::col_vec(&ub.observed));
+            let ctr_loss = g.bce_mean(ctr_unif, o_labels);
+            let mut loss = ctr_loss;
 
-                // --- entire-space CTR supervision (all variants) ----------
-                let ctr_unif = self.model.ctr_logits(&mut g, &ub.users, &ub.items);
-                let o_labels = g.constant(Tensor::col_vec(&ub.observed));
-                let ctr_loss = g.bce_mean(ctr_unif, o_labels);
-                let mut loss = ctr_loss;
-
-                if self.variant.uses_entire_space_losses() {
-                    // CTCVR over the entire space: P(o)·P(r) vs o·r. The
-                    // uniform batch's o·r label is o·r with r unknown when
-                    // o = 0 — but then o·r = 0 regardless, so the label is
-                    // well-defined; for observed pairs we need r, which the
-                    // uniform batch does not carry. Use the observed batch
-                    // (o = 1, label r) plus the unobserved part of the
-                    // uniform batch (label 0), mirroring the standard ESMM
-                    // sampling.
-                    let ctr_obs = self.model.ctr_logits(&mut g, &b.users, &b.items);
-                    let cvr_obs = self.model.cvr_logits(&mut g, &b.users, &b.items);
-                    let p_ctr = g.sigmoid(ctr_obs);
-                    let p_cvr = g.sigmoid(cvr_obs);
-                    let p_ctcvr = g.mul(p_ctr, p_cvr);
-                    let pc = g.clamp(p_ctcvr, 1e-7, 1.0 - 1e-7);
-                    // BCE with probability inputs: −[y ln p + (1−y) ln(1−p)].
-                    let y = g.constant(Tensor::col_vec(&b.ratings));
-                    let lnp = g.ln(pc);
-                    let t1 = g.mul(y, lnp);
-                    let ones = g.constant(Tensor::ones(b.len(), 1));
-                    let om_y = g.sub(ones, y);
-                    let om_p = {
-                        let ones2 = g.constant(Tensor::ones(b.len(), 1));
-                        g.sub(ones2, pc)
-                    };
-                    let ln_omp = g.ln(om_p);
-                    let t2 = g.mul(om_y, ln_omp);
-                    let s = g.add(t1, t2);
-                    let m = g.mean(s);
-                    let ctcvr_obs_loss = g.neg(m);
-                    // Unobserved sampled pairs: label 0 → −ln(1 − pCTR·pCVR).
-                    let ctr_u2 = self.model.ctr_logits(&mut g, &ub.users, &ub.items);
-                    let cvr_u2 = self.model.cvr_logits(&mut g, &ub.users, &ub.items);
-                    let pu = g.sigmoid(ctr_u2);
-                    let pv = g.sigmoid(cvr_u2);
-                    let puv = g.mul(pu, pv);
-                    let puv_c = g.clamp(puv, 1e-7, 1.0 - 1e-7);
-                    let onesu = g.constant(Tensor::ones(ub.users.len(), 1));
-                    let anti = g.sub(onesu, puv_c);
-                    let ln_anti = g.ln(anti);
-                    let mask = g.constant(Tensor::col_vec(
-                        &ub.observed.iter().map(|&o| 1.0 - o).collect::<Vec<f64>>(),
-                    ));
-                    let masked = g.mul(mask, ln_anti);
-                    let mm = g.mean(masked);
-                    let ctcvr_miss_loss = g.neg(mm);
-                    let es1 = g.mul_scalar(ctcvr_obs_loss, density);
-                    let es = g.add(es1, ctcvr_miss_loss);
-                    loss = g.add(loss, es);
-                }
-
-                if self.variant.uses_counterfactual_risk() {
-                    // IPS or DR risk on the CVR tower with detached CTR
-                    // propensities.
-                    let ctr_obs = self.model.ctr_logits(&mut g, &b.users, &b.items);
-                    let inv_p = self.inv_propensities(&mut g, ctr_obs, self.cfg.prop_clip);
-                    let cvr_obs = self.model.cvr_logits(&mut g, &b.users, &b.items);
-                    let pred = g.sigmoid(cvr_obs);
-                    let y = g.constant(Tensor::col_vec(&b.ratings));
-                    let err = g.squared_error(pred, y);
-                    let risk = if self.variant.uses_dr() {
-                        // The imputation tower produces pseudo-labels r̃;
-                        // the imputed error ê = (r̂ − r̃)² is live in the
-                        // CVR tower (that is the DR supervision channel for
-                        // the unobserved space).
-                        let imp_obs = self.model.imputation_out(&mut g, &b.users, &b.items);
-                        let rt_obs0 = g.sigmoid(imp_obs);
-                        let rt_obs = g.detach(rt_obs0);
-                        let e_hat_obs = g.squared_error(pred, rt_obs);
-                        let diff = g.sub(err, e_hat_obs);
-                        let corr0 = g.weighted_mean(inv_p, diff);
-                        let corr = g.mul_scalar(corr0, density);
-                        let cvr_unif = self.model.cvr_logits(&mut g, &ub.users, &ub.items);
-                        let pred_unif = g.sigmoid(cvr_unif);
-                        let imp_unif = self.model.imputation_out(&mut g, &ub.users, &ub.items);
-                        let rt_unif0 = g.sigmoid(imp_unif);
-                        let rt_unif = g.detach(rt_unif0);
-                        let e_hat_unif = g.squared_error(pred_unif, rt_unif);
-                        let base = g.mean(e_hat_unif);
-                        let dr = g.add(base, corr);
-                        // Imputation tower's own loss: the implied error
-                        // (r̂_det − r̃)² should match the realized error.
-                        let e_det = g.detach(err);
-                        let pred_det = g.detach(pred);
-                        let imp_obs2 = self.model.imputation_out(&mut g, &b.users, &b.items);
-                        let rt_live = g.sigmoid(imp_obs2);
-                        let e_imp = g.squared_error(pred_det, rt_live);
-                        let imp_err = g.squared_error(e_imp, e_det);
-                        let imp_loss = g.weighted_mean(inv_p, imp_err);
-                        g.add(dr, imp_loss)
-                    } else {
-                        g.weighted_mean(inv_p, err)
-                    };
-                    let weighted = g.mul_scalar(risk, self.cfg.hyper.lambda);
-                    loss = g.add(loss, weighted);
-                }
-
-                epoch_loss += g.item(loss);
-                n += 1;
-                g.backward(loss, &mut self.model.params);
-                drop(g); // release the tape's table Rcs so the step mutates in place
-                opt.step(&mut self.model.params);
-                self.model.params.zero_grad();
+            if rec.variant.uses_entire_space_losses() {
+                // CTCVR over the entire space: P(o)·P(r) vs o·r. The
+                // uniform batch's o·r label is o·r with r unknown when
+                // o = 0 — but then o·r = 0 regardless, so the label is
+                // well-defined; for observed pairs we need r, which the
+                // uniform batch does not carry. Use the observed batch
+                // (o = 1, label r) plus the unobserved part of the
+                // uniform batch (label 0), mirroring the standard ESMM
+                // sampling.
+                let ctr_obs = rec.model.ctr_logits(&mut g, &b.users, &b.items);
+                let cvr_obs = rec.model.cvr_logits(&mut g, &b.users, &b.items);
+                let p_ctr = g.sigmoid(ctr_obs);
+                let p_cvr = g.sigmoid(cvr_obs);
+                let p_ctcvr = g.mul(p_ctr, p_cvr);
+                let pc = g.clamp(p_ctcvr, 1e-7, 1.0 - 1e-7);
+                // BCE with probability inputs: −[y ln p + (1−y) ln(1−p)].
+                let y = g.constant(Tensor::col_vec(&b.ratings));
+                let lnp = g.ln(pc);
+                let t1 = g.mul(y, lnp);
+                let ones = g.constant(Tensor::ones(b.len(), 1));
+                let om_y = g.sub(ones, y);
+                let om_p = {
+                    let ones2 = g.constant(Tensor::ones(b.len(), 1));
+                    g.sub(ones2, pc)
+                };
+                let ln_omp = g.ln(om_p);
+                let t2 = g.mul(om_y, ln_omp);
+                let s = g.add(t1, t2);
+                let m = g.mean(s);
+                let ctcvr_obs_loss = g.neg(m);
+                // Unobserved sampled pairs: label 0 → −ln(1 − pCTR·pCVR).
+                let ctr_u2 = rec.model.ctr_logits(&mut g, &ub.users, &ub.items);
+                let cvr_u2 = rec.model.cvr_logits(&mut g, &ub.users, &ub.items);
+                let pu = g.sigmoid(ctr_u2);
+                let pv = g.sigmoid(cvr_u2);
+                let puv = g.mul(pu, pv);
+                let puv_c = g.clamp(puv, 1e-7, 1.0 - 1e-7);
+                let onesu = g.constant(Tensor::ones(ub.users.len(), 1));
+                let anti = g.sub(onesu, puv_c);
+                let ln_anti = g.ln(anti);
+                let mask = g.constant(Tensor::col_vec(
+                    &ub.observed.iter().map(|&o| 1.0 - o).collect::<Vec<f64>>(),
+                ));
+                let masked = g.mul(mask, ln_anti);
+                let mm = g.mean(masked);
+                let ctcvr_miss_loss = g.neg(mm);
+                let es1 = g.mul_scalar(ctcvr_obs_loss, density);
+                let es = g.add(es1, ctcvr_miss_loss);
+                loss = g.add(loss, es);
             }
-            trace.push(epoch_loss / n.max(1) as f64);
-        }
-        FitReport {
-            epochs_run: self.cfg.epochs,
-            final_loss: *trace.last().unwrap_or(&f64::NAN),
-            loss_trace: trace,
-            aux_trace: Vec::new(),
-            train_seconds: start.elapsed().as_secs_f64(),
-        }
+
+            if rec.variant.uses_counterfactual_risk() {
+                // IPS or DR risk on the CVR tower with detached CTR
+                // propensities.
+                let ctr_obs = rec.model.ctr_logits(&mut g, &b.users, &b.items);
+                let inv_p = rec.inv_propensities(&mut g, ctr_obs, cfg.prop_clip);
+                let cvr_obs = rec.model.cvr_logits(&mut g, &b.users, &b.items);
+                let pred = g.sigmoid(cvr_obs);
+                let y = g.constant(Tensor::col_vec(&b.ratings));
+                let err = g.squared_error(pred, y);
+                let risk = if rec.variant.uses_dr() {
+                    // The imputation tower produces pseudo-labels r̃;
+                    // the imputed error ê = (r̂ − r̃)² is live in the
+                    // CVR tower (that is the DR supervision channel for
+                    // the unobserved space).
+                    let imp_obs = rec.model.imputation_out(&mut g, &b.users, &b.items);
+                    let rt_obs0 = g.sigmoid(imp_obs);
+                    let rt_obs = g.detach(rt_obs0);
+                    let e_hat_obs = g.squared_error(pred, rt_obs);
+                    let diff = g.sub(err, e_hat_obs);
+                    let corr0 = g.weighted_mean(inv_p, diff);
+                    let corr = g.mul_scalar(corr0, density);
+                    let cvr_unif = rec.model.cvr_logits(&mut g, &ub.users, &ub.items);
+                    let pred_unif = g.sigmoid(cvr_unif);
+                    let imp_unif = rec.model.imputation_out(&mut g, &ub.users, &ub.items);
+                    let rt_unif0 = g.sigmoid(imp_unif);
+                    let rt_unif = g.detach(rt_unif0);
+                    let e_hat_unif = g.squared_error(pred_unif, rt_unif);
+                    let base = g.mean(e_hat_unif);
+                    let dr = g.add(base, corr);
+                    // Imputation tower's own loss: the implied error
+                    // (r̂_det − r̃)² should match the realized error.
+                    let e_det = g.detach(err);
+                    let pred_det = g.detach(pred);
+                    let imp_obs2 = rec.model.imputation_out(&mut g, &b.users, &b.items);
+                    let rt_live = g.sigmoid(imp_obs2);
+                    let e_imp = g.squared_error(pred_det, rt_live);
+                    let imp_err = g.squared_error(e_imp, e_det);
+                    let imp_loss = g.weighted_mean(inv_p, imp_err);
+                    g.add(dr, imp_loss)
+                } else {
+                    g.weighted_mean(inv_p, err)
+                };
+                let weighted = g.mul_scalar(risk, cfg.hyper.lambda);
+                loss = g.add(loss, weighted);
+            }
+
+            opt.minimize(g, loss, &mut rec.model.params)
+        })
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {

@@ -1,18 +1,34 @@
 //! The `Recommender` trait and evaluation driver.
 
+use std::time::Instant;
+
 use dt_data::Dataset;
 use dt_metrics::{auc, evaluate_ranking, mae, mse};
-use dt_serve::{
-    IvfIndex, IvfParams, IvfScratch, PanelDtype, RetrievalMode, ScoringIndex, SeenLists, TopKBatch,
-    TopKEngine,
-};
+use dt_serve::{PanelDtype, ScoringIndex, SeenLists, TopKBatch, TopKEngine};
 use dt_tensor::topk::select_top_k;
 use dt_tensor::SplitMix64;
 
 /// What every training method exposes to the experiment harness.
 pub trait Recommender {
-    /// Trains on the dataset's (biased) training log.
-    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport;
+    /// Trains on the dataset's (biased) training log through
+    /// [`Recommender::train`] and reports the run. `train_seconds` spans
+    /// the whole of `train`, stage-one propensity fits included.
+    fn fit(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> FitReport {
+        let start = Instant::now(); // lint: allow(r4): training wall time for the report; never feeds the numerics
+        let (loss_trace, aux_trace) = self.train(ds, rng);
+        FitReport {
+            epochs_run: loss_trace.len(),
+            final_loss: loss_trace.last().copied().unwrap_or(f64::NAN),
+            loss_trace,
+            aux_trace,
+            train_seconds: start.elapsed().as_secs_f64(),
+        }
+    }
+
+    /// The training run behind [`Recommender::fit`]. Returns the mean
+    /// training loss of each epoch and the method's auxiliary trace
+    /// ([`FitReport::aux_trace`]).
+    fn train(&mut self, ds: &Dataset, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>);
 
     /// Predicted conversion/rating probability for each pair.
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64>;
@@ -87,61 +103,6 @@ pub trait Recommender {
         }
         out
     }
-
-    /// [`Recommender::recommend_top_k`] with a retrieval-mode hint.
-    ///
-    /// `RetrievalMode::Exact` is exactly `recommend_top_k`. For
-    /// `RetrievalMode::Ivf` the method must expose a
-    /// [`Recommender::scoring_index`]; a companion [`IvfIndex`] is built
-    /// **per call** (a documented cold path — callers serving sustained
-    /// traffic should hold the index and the [`TopKEngine`] themselves,
-    /// as the Table VI runner and `dt-bench` do) and the query runs the
-    /// probe-and-rerank arm. Methods without an index ignore the hint and
-    /// take the predict fallback: the hint is advisory, never
-    /// result-changing beyond the documented IVF recall trade.
-    ///
-    /// # Panics
-    /// Panics on everything [`Recommender::recommend_top_k`] panics on.
-    #[must_use]
-    fn recommend_top_k_with(
-        &self,
-        users: &[usize],
-        n_items: usize,
-        k: usize,
-        seen: Option<&SeenLists>,
-        mode: RetrievalMode,
-    ) -> TopKBatch {
-        let (RetrievalMode::Ivf { nlist, nprobe }, Some(index)) = (mode, self.scoring_index())
-        else {
-            return self.recommend_top_k(users, n_items, k, seen);
-        };
-        assert_eq!(
-            index.n_items(),
-            n_items,
-            "recommend_top_k: index built for {} items, asked for {n_items}",
-            index.n_items()
-        );
-        let ivf = IvfIndex::build(
-            &index,
-            &IvfParams {
-                nlist,
-                ..IvfParams::default()
-            },
-        );
-        let mut out = TopKBatch::new();
-        let mut scratch = IvfScratch::default();
-        TopKEngine::new().recommend_ivf_into(
-            &index,
-            &ivf,
-            nprobe,
-            users,
-            k,
-            seen,
-            &mut scratch,
-            &mut out,
-        );
-        out
-    }
 }
 
 /// Outcome of a training run.
@@ -158,20 +119,6 @@ pub struct FitReport {
     pub aux_trace: Vec<f64>,
     /// Wall-clock training time in seconds.
     pub train_seconds: f64,
-}
-
-impl FitReport {
-    /// An empty report for untrainable stubs.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            epochs_run: 0,
-            final_loss: f64::NAN,
-            loss_trace: Vec::new(),
-            aux_trace: Vec::new(),
-            train_seconds: 0.0,
-        }
-    }
 }
 
 /// Metrics of one model on one dataset (the columns of Tables III/IV).
@@ -253,8 +200,8 @@ mod tests {
     struct Oracle(dt_tensor::Tensor);
 
     impl Recommender for Oracle {
-        fn fit(&mut self, _ds: &Dataset, _rng: &mut SplitMix64) -> FitReport {
-            FitReport::empty()
+        fn train(&mut self, _ds: &Dataset, _rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
+            (Vec::new(), Vec::new())
         }
         fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
             pairs.iter().map(|&(u, i)| self.0.get(u, i)).collect()
@@ -294,8 +241,8 @@ mod tests {
     }
 
     impl Recommender for Served {
-        fn fit(&mut self, _ds: &Dataset, _rng: &mut SplitMix64) -> FitReport {
-            FitReport::empty()
+        fn train(&mut self, _ds: &Dataset, _rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
+            (Vec::new(), Vec::new())
         }
         fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
             self.model.predict(pairs)
@@ -354,51 +301,6 @@ mod tests {
             // `TopKBatch` equality compares every slot's item and score.
             assert_eq!(served_batch, reference);
         }
-    }
-
-    #[test]
-    fn ivf_hint_at_full_probe_matches_exact_and_fallback_ignores_it() {
-        let mut rng = SplitMix64(7);
-        let model = dt_models::MfModel::new(10, 64, 4, &mut rng);
-        let served = Served {
-            model,
-            expose_index: true,
-        };
-        let users: Vec<usize> = (0..15).map(|j| (j * 3) % 10).collect();
-        let seen = SeenLists::from_pairs(10, (0..10u32).map(|u| (u, u * 2)));
-        let exact = served.recommend_top_k(&users, 64, 6, Some(&seen));
-        // nprobe = nlist covers the catalog: identical output.
-        let ivf = served.recommend_top_k_with(
-            &users,
-            64,
-            6,
-            Some(&seen),
-            RetrievalMode::Ivf {
-                nlist: 8,
-                nprobe: 8,
-            },
-        );
-        assert_eq!(exact, ivf);
-        // Exact hint is literally the plain path.
-        let plain = served.recommend_top_k_with(&users, 64, 6, Some(&seen), RetrievalMode::Exact);
-        assert_eq!(exact, plain);
-        // A method without an index ignores the hint.
-        let fallback = Served {
-            model: served.model,
-            expose_index: false,
-        };
-        let hinted = fallback.recommend_top_k_with(
-            &users,
-            64,
-            6,
-            Some(&seen),
-            RetrievalMode::Ivf {
-                nlist: 8,
-                nprobe: 1,
-            },
-        );
-        let unhinted = fallback.recommend_top_k(&users, 64, 6, Some(&seen));
-        assert_eq!(hinted, unhinted);
     }
 
     #[test]

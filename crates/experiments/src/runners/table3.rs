@@ -139,8 +139,8 @@ mod tests {
         let ds = semisynthetic_dataset(Scale::Quick, 1.0, 0.3, 3);
         struct Oracle(dt_tensor::Tensor);
         impl Recommender for Oracle {
-            fn fit(&mut self, _: &Dataset, _: &mut SplitMix64) -> dt_core::FitReport {
-                dt_core::FitReport::empty()
+            fn train(&mut self, _: &Dataset, _: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
+                (Vec::new(), Vec::new())
             }
             fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
                 pairs.iter().map(|&(u, i)| self.0.get(u, i)).collect()

@@ -476,9 +476,7 @@ mod tests {
         for _ in 0..300 {
             let mut g = Graph::new();
             let loss = m.disentangle_loss(&mut g);
-            g.backward(loss, &mut m.params);
-            opt.step(&mut m.params);
-            m.params.zero_grad();
+            opt.minimize(g, loss, &mut m.params);
         }
         assert!(
             m.disentangle_scale() < initial * 1e-3,

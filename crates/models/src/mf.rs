@@ -237,9 +237,7 @@ mod tests {
             let logits = m.logits(&mut g, &users, &items);
             let y = g.constant(labels.clone());
             let loss = g.bce_mean(logits, y);
-            g.backward(loss, &mut m.params);
-            opt.step(&mut m.params);
-            m.params.zero_grad();
+            opt.minimize(g, loss, &mut m.params);
         }
         let preds = m.predict(&[(0, 0), (0, 1), (1, 0), (1, 1)]);
         assert!(preds[0] > 0.9 && preds[3] > 0.9, "{preds:?}");

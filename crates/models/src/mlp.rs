@@ -151,9 +151,7 @@ mod tests {
             let logits = mlp.forward(&mut g, &params, xv);
             let yv = g.constant(y.clone());
             let loss = g.bce_mean(logits, yv);
-            g.backward(loss, &mut params);
-            opt.step(&mut params);
-            params.zero_grad();
+            opt.minimize(g, loss, &mut params);
         }
         let mut g = Graph::new();
         let xv = g.constant(x);

@@ -107,9 +107,7 @@ impl LogisticMfPropensity {
                 let logits = model.logits(&mut g, &users, &items);
                 let y = g.constant(Tensor::col_vec(&labels));
                 let loss = g.bce_mean(logits, y);
-                g.backward(loss, &mut model.params);
-                opt.step(&mut model.params);
-                model.params.zero_grad();
+                opt.minimize(g, loss, &mut model.params);
             }
         }
         Self { model, clip }

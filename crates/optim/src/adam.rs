@@ -1,4 +1,4 @@
-//! Adam and AdamW, sparse-aware.
+//! Adam, sparse-aware.
 //!
 //! The default [`GradMode::Lazy`] consumes row-sparse gradients without
 //! densifying: only the touched rows of the parameter, its first moment and
@@ -10,11 +10,11 @@
 //! it, with the `1/(1-β^t)` bias corrections folded into one precomputed
 //! per-step scale.
 //!
-//! Documented lazy approximations (see DESIGN.md §10): weight decay — both
-//! coupled L2 and AdamW's decoupled form — only acts on rows the current
-//! gradient touches, and idle rows receive no updates from their decayed
-//! momentum tail. [`GradMode::DenseEquivalent`] removes all approximations
-//! by delegating to [`crate::reference::adam_step`].
+//! Documented lazy approximations (see DESIGN.md §10): the coupled L2
+//! term only acts on rows the current gradient touches, and idle rows
+//! receive no updates from their decayed momentum tail.
+//! [`GradMode::DenseEquivalent`] removes all approximations by delegating
+//! to [`crate::reference::adam_step`].
 //!
 //! The dense pass is [`dt_tensor::fused::adam_dense`], split across the
 //! shared pool and bit-identical to the sequential loop at any width.
@@ -25,7 +25,14 @@ use dt_autograd::{ParamId, Params};
 use dt_tensor::fused::AdamDense;
 use dt_tensor::{Grad, Tensor};
 
-use crate::{catchup_pow, reference, GradMode, Optimizer};
+use crate::{reference, GradMode, Optimizer};
+
+/// `beta^delta` with an integer exponent, for lazy moment catch-up.
+/// Deterministic (no `powf` on the hot path) and saturating: a `delta`
+/// beyond `i32::MAX` steps underflows to the same limit value.
+fn catchup_pow(beta: f64, delta: u64) -> f64 {
+    beta.powi(i32::try_from(delta).unwrap_or(i32::MAX))
+}
 
 /// Per-parameter Adam state: dense moments plus the step stamp of each
 /// row's most recent update (for lazy catch-up).
@@ -35,18 +42,14 @@ struct State {
     last: Vec<u64>,
 }
 
-/// Adam (Kingma & Ba, 2015) — the optimizer the paper uses for all methods.
-///
-/// `decoupled_decay = false` gives classic Adam with L2 regularisation folded
-/// into the gradient; `true` gives AdamW (decay applied directly to the
-/// weights).
+/// Adam (Kingma & Ba, 2015) — the optimizer the paper uses for all methods,
+/// with L2 regularisation folded into the gradient.
 pub struct Adam {
     lr: f64,
     beta1: f64,
     beta2: f64,
     eps: f64,
     weight_decay: f64,
-    decoupled_decay: bool,
     mode: GradMode,
     t: u64,
     state: HashMap<ParamId, State>,
@@ -59,7 +62,7 @@ impl Adam {
         Self::with_config(lr, 0.9, 0.999, 1e-8, 0.0)
     }
 
-    /// Fully configured classic Adam.
+    /// Fully configured Adam; `weight_decay` is the coupled L2 coefficient.
     ///
     /// # Panics
     /// Panics on out-of-range hyper-parameters.
@@ -76,7 +79,6 @@ impl Adam {
             beta2,
             eps,
             weight_decay,
-            decoupled_decay: false,
             mode: GradMode::Lazy,
             t: 0,
             state: HashMap::new(),
@@ -92,46 +94,13 @@ impl Adam {
     }
 }
 
-/// AdamW: Adam with decoupled weight decay.
-pub struct AdamW(Adam);
-
-impl AdamW {
-    /// AdamW with standard betas and the given decay.
-    #[must_use]
-    pub fn new(lr: f64, weight_decay: f64) -> Self {
-        let mut inner = Adam::with_config(lr, 0.9, 0.999, 1e-8, weight_decay);
-        inner.decoupled_decay = true;
-        Self(inner)
-    }
-
-    /// Selects how row-sparse gradients are consumed (default
-    /// [`GradMode::Lazy`]).
-    #[must_use]
-    pub fn with_grad_mode(mut self, mode: GradMode) -> Self {
-        self.0.mode = mode;
-        self
-    }
-}
-
-impl Optimizer for AdamW {
-    fn step(&mut self, params: &mut Params) {
-        self.0.step(params);
-    }
-    fn learning_rate(&self) -> f64 {
-        self.0.learning_rate()
-    }
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.0.set_learning_rate(lr);
-    }
-}
-
 impl Optimizer for Adam {
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, params: &mut Params) {
         self.t += 1;
         let t = self.t;
         let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let (wd, decoupled) = (self.weight_decay, self.decoupled_decay);
+        let wd = self.weight_decay;
         // Bias corrections depend only on the global step, so the dense
         // update `lr·(m/bc1)/(√(v/bc2)+eps)` folds into one scale and one
         // shifted eps, computed once per step instead of per element.
@@ -161,7 +130,6 @@ impl Optimizer for Adam {
                     beta2: b2,
                     eps,
                     weight_decay: wd,
-                    decoupled_decay: decoupled,
                 };
                 reference::adam_step(params.value_mut(id), &g, &mut st.m, &mut st.v, t, &cfg);
                 continue;
@@ -189,15 +157,9 @@ impl Optimizer for Adam {
                         let wrow = w.row_mut(r);
                         let mrow = m.row_mut(r);
                         let vrow = v.row_mut(r);
-                        if decoupled && wd > 0.0 {
-                            let decay = 1.0 - lr * wd;
-                            for x in wrow.iter_mut() {
-                                *x *= decay;
-                            }
-                        }
                         for j in 0..cols {
                             let mut gi = grow[j];
-                            if wd > 0.0 && !decoupled {
+                            if wd > 0.0 {
                                 gi += wd * wrow[j];
                             }
                             mrow[j] = b1 * mrow[j] + (1.0 - b1) * gi;
@@ -223,12 +185,6 @@ impl Optimizer for Adam {
                         }
                         *stamp = t;
                     }
-                    let decay = if decoupled && wd > 0.0 {
-                        1.0 - lr * wd
-                    } else {
-                        1.0
-                    };
-                    let l2 = if decoupled { 0.0 } else { wd };
                     dt_tensor::fused::adam_dense(
                         w.data_mut(),
                         m.data_mut(),
@@ -239,21 +195,12 @@ impl Optimizer for Adam {
                             beta2: b2,
                             scale,
                             eps: eps2,
-                            l2,
-                            decay,
+                            l2: wd,
                         },
                     );
                 }
             }
         }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
     }
 }
 
@@ -274,9 +221,7 @@ mod tests {
             let wv = g.param(&params, w);
             let tv = g.constant(target.clone());
             let loss = g.mse(wv, tv);
-            g.backward(loss, &mut params);
-            opt.step(&mut params);
-            params.zero_grad();
+            opt.minimize(g, loss, &mut params);
         }
         assert!(params.value(w).sub(&target).frob_sq() < 1e-8);
     }
@@ -293,13 +238,13 @@ mod tests {
     }
 
     #[test]
-    fn adamw_decays_with_dense_zero_gradient() {
-        // A dense (all-zero) gradient takes the full-table path, where
-        // decoupled decay shrinks every weight exactly like legacy AdamW.
+    fn l2_decays_with_dense_zero_gradient() {
+        // A dense (all-zero) gradient takes the full-table path, where the
+        // coupled L2 term alone shrinks every weight.
         let mut params = Params::new();
         let w = params.add("w", Tensor::scalar(1.0));
         params.accumulate_grad(w, &Tensor::zeros(1, 1));
-        let mut opt = AdamW::new(0.01, 0.1);
+        let mut opt = Adam::with_config(0.01, 0.9, 0.999, 1e-8, 0.1);
         opt.step(&mut params);
         assert!(params.value(w).item() < 1.0);
     }
@@ -307,11 +252,11 @@ mod tests {
     #[test]
     fn lazy_untouched_param_does_not_move() {
         // Documented lazy semantics: with an empty row-sparse gradient no
-        // row is touched, so neither the weights nor the decay move — decay
-        // is applied per touched row, not per step.
+        // row is touched, so neither the weights nor the L2 term move — L2
+        // acts per touched row, not per step.
         let mut params = Params::new();
         let w = params.add("w", Tensor::scalar(1.0));
-        let mut opt = AdamW::new(0.01, 0.1);
+        let mut opt = Adam::with_config(0.01, 0.9, 0.999, 1e-8, 0.1);
         opt.step(&mut params);
         assert_eq!(params.value(w).item(), 1.0);
     }
@@ -349,7 +294,6 @@ mod tests {
             beta2: 0.999,
             eps: 1e-8,
             weight_decay: 0.01,
-            decoupled_decay: false,
         };
 
         let batches: [&[usize]; 3] = [&[0, 2, 2], &[4], &[1, 3, 0]];

@@ -1,32 +1,26 @@
 //! # dt-optim
 //!
-//! First-order optimizers and training-loop utilities for the `disrec`
-//! workspace: SGD (with momentum), Adagrad, Adam/AdamW, learning-rate
-//! schedules, global-norm gradient clipping and early stopping.
-//!
-//! All optimizers implement the [`Optimizer`] trait and operate on a
-//! [`dt_autograd::Params`] store: the training loop accumulates gradients
-//! via `Graph::backward`, optionally clips them, calls [`Optimizer::step`],
-//! then [`dt_autograd::Params::zero_grad`].
+//! Adam, the optimizer every trainer in the `disrec` workspace uses, over
+//! a [`dt_autograd::Params`] store. A training step builds a tape, then
+//! hands it to [`Optimizer::minimize`], which reads the loss, runs the
+//! backward sweep, drops the tape, steps and zeroes the gradients.
 //!
 //! ## Sparse-aware updates
 //!
 //! Gradients arrive as [`dt_tensor::Grad`] — row-sparse for embedding-table
-//! parameters touched through gathers, dense for full-table losses. Every
-//! optimizer here consumes both without densifying: in the default
-//! [`GradMode::Lazy`] a step over a row-sparse gradient costs
-//! `O(touched_rows × cols)`, catching idle rows' moments up with a
-//! `β^Δt` decay factor the next time they are touched (see DESIGN.md §10
-//! for the exact semantics and the documented approximations). The
-//! [`GradMode::DenseEquivalent`] mode instead densifies and delegates to
-//! the legacy formulas kept verbatim in [`reference`], and is tested to be
-//! bit-identical to the pre-sparse optimizer — the oracle for the lazy
-//! path's equivalence tests.
+//! parameters touched through gathers, dense for full-table losses. Adam
+//! consumes both without densifying: in the default [`GradMode::Lazy`] a
+//! step over a row-sparse gradient costs `O(touched_rows × cols)`,
+//! catching idle rows' moments up with a `β^Δt` decay factor the next
+//! time they are touched (see DESIGN.md §10 for the exact semantics and
+//! the documented approximations). The [`GradMode::DenseEquivalent`] mode
+//! instead densifies and delegates to the legacy formula kept verbatim in
+//! [`reference`], and is tested to be bit-identical to the pre-sparse
+//! optimizer — the oracle for the lazy path's equivalence tests.
 //!
-//! Optimizer state (moments, velocity, squared-gradient accumulators) is
-//! keyed by [`dt_autograd::ParamId`], not by iteration position, so
-//! interleaving parameter registration with steps cannot mis-associate
-//! state.
+//! Optimizer state (the two moments) is keyed by
+//! [`dt_autograd::ParamId`], not by iteration position, so interleaving
+//! parameter registration with steps cannot mis-associate state.
 //!
 //! ## Example
 //!
@@ -44,33 +38,21 @@
 //!     let wv = g.param(&params, w);
 //!     let loss0 = g.sqr(wv); // minimise w²
 //!     let loss = g.sum(loss0);
-//!     g.backward(loss, &mut params);
-//!     opt.step(&mut params);
-//!     params.zero_grad();
+//!     opt.minimize(g, loss, &mut params);
 //! }
 //! assert!(params.value(w).item().abs() < 1e-3);
 //! ```
 
 #![forbid(unsafe_code)]
 
-mod adagrad;
 mod adam;
-mod clip;
-mod early_stop;
 pub mod reference;
-mod schedule;
-mod sgd;
 
-pub use adagrad::Adagrad;
-pub use adam::{Adam, AdamW};
-pub use clip::clip_grad_norm;
-pub use early_stop::EarlyStopping;
-pub use schedule::{ConstantLr, CosineLr, ExponentialDecay, LrSchedule, StepDecay};
-pub use sgd::Sgd;
+pub use adam::Adam;
 
-use dt_autograd::Params;
+use dt_autograd::{Graph, Params, Var};
 
-/// How an optimizer consumes row-sparse gradients.
+/// How the optimizer consumes row-sparse gradients.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GradMode {
     /// Touched-rows-only updates: a row-sparse gradient updates just its
@@ -79,18 +61,11 @@ pub enum GradMode {
     /// step. Dense gradients still update every row.
     #[default]
     Lazy,
-    /// Densify every gradient and delegate to the legacy dense formulas in
-    /// [`reference`] — bit-identical to the pre-sparse optimizers. Used by
+    /// Densify every gradient and delegate to the legacy dense formula in
+    /// [`reference`] — bit-identical to the pre-sparse optimizer. Used by
     /// the equivalence tests and the dense arm of the training-step
     /// benchmark; `O(rows × cols)` per step.
     DenseEquivalent,
-}
-
-/// `beta^delta` with an integer exponent, for lazy moment catch-up.
-/// Deterministic (no `powf` on the hot path) and saturating: a `delta`
-/// beyond `i32::MAX` steps underflows to the same limit value.
-pub(crate) fn catchup_pow(beta: f64, delta: u64) -> f64 {
-    beta.powi(i32::try_from(delta).unwrap_or(i32::MAX))
 }
 
 /// A first-order optimizer over a [`Params`] store.
@@ -99,9 +74,49 @@ pub trait Optimizer {
     /// `params`. Does not zero the gradients.
     fn step(&mut self, params: &mut Params);
 
-    /// The current base learning rate.
-    fn learning_rate(&self) -> f64;
+    /// One training step on the tape `g`: reads `loss`, backpropagates it
+    /// into `params`, drops the tape, steps and zeroes the gradients.
+    /// Returns the loss value.
+    ///
+    /// Taking the tape by value drops it before the step, so the tape's
+    /// `Rc`s of the parameter tables are gone and the step updates them in
+    /// place instead of copying each one.
+    fn minimize(&mut self, g: Graph, loss: Var, params: &mut Params) -> f64 {
+        let value = g.item(loss);
+        g.backward(loss, params);
+        drop(g);
+        self.step(params);
+        params.zero_grad();
+        value
+    }
+}
 
-    /// Overrides the base learning rate (used by [`LrSchedule`] drivers).
-    fn set_learning_rate(&mut self, lr: f64);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dt_tensor::Tensor;
+
+    #[test]
+    fn minimize_updates_a_mounted_parameter_in_place() {
+        // The tape holds an `Rc` of every mounted table; a step taken while
+        // it is alive would copy the table instead of writing into it.
+        let mut params = Params::new();
+        let w = params.add("w", Tensor::from_fn(4, 3, |i, j| (i + 2 * j) as f64 * 0.1));
+        let mut opt = Adam::new(0.1);
+        let before = params.value(w).clone();
+        let storage = params.value(w).data().as_ptr();
+        let mut g = Graph::new();
+        let wv = g.param(&params, w);
+        let sq = g.sqr(wv);
+        let loss = g.sum(sq);
+        let value = opt.minimize(g, loss, &mut params);
+        assert_eq!(value, before.frob_sq());
+        assert_ne!(params.value(w), &before, "the step moved the weights");
+        assert_eq!(
+            params.value(w).data().as_ptr(),
+            storage,
+            "the step copied the table"
+        );
+        assert_eq!(params.grad(w).frob_sq(), 0.0, "gradients are zeroed");
+    }
 }

@@ -1,17 +1,17 @@
-//! Legacy dense optimizer step formulas — the oracle the sparse-aware
-//! optimizers are tested against.
+//! The legacy dense Adam step — the oracle the sparse-aware optimizer is
+//! tested against.
 //!
-//! Each function reproduces, operation for operation, the pre-row-sparse
-//! implementation of the corresponding optimizer (clone the gradient, fold
-//! L2 decay in with `axpy`, decay the moments with `scale_inplace`, divide
-//! by the bias corrections inside `zip_map`, …). Keeping the old multi-pass
-//! formulas verbatim means the `GradMode::DenseEquivalent` path — and the
-//! exact-match tests in `crates/optim/tests` — compare against the same
-//! bits the workspace produced before gradients became sparse.
+//! [`adam_step`] reproduces, operation for operation, the pre-row-sparse
+//! implementation (clone the gradient, fold L2 decay in with `axpy`, decay
+//! the moments with `scale_inplace`, divide by the bias corrections inside
+//! `zip_map`, …). Keeping the old multi-pass formula verbatim means the
+//! `GradMode::DenseEquivalent` path — and the exact-match tests in
+//! `crates/optim/tests` — compare against the same bits the workspace
+//! produced before gradients became sparse.
 
 use dt_tensor::Tensor;
 
-/// Hyper-parameters of a dense Adam/AdamW step.
+/// Hyper-parameters of a dense Adam step.
 pub struct AdamCfg {
     /// Base learning rate.
     pub lr: f64,
@@ -21,13 +21,11 @@ pub struct AdamCfg {
     pub beta2: f64,
     /// Denominator fuzz.
     pub eps: f64,
-    /// L2 (coupled) or decoupled decay coefficient.
+    /// Coupled L2 coefficient, folded into the gradient.
     pub weight_decay: f64,
-    /// `true` for AdamW (decay applied to the weights, not the gradient).
-    pub decoupled_decay: bool,
 }
 
-/// One dense Adam/AdamW update on a single parameter, using the global step
+/// One dense Adam update on a single parameter, using the global step
 /// counter `t` (1-based, already incremented) for bias correction.
 ///
 /// # Panics
@@ -46,7 +44,7 @@ pub fn adam_step(
     let bc2 = 1.0 - cfg.beta2.powf(tf);
 
     let mut g = grad.clone();
-    if cfg.weight_decay > 0.0 && !cfg.decoupled_decay {
+    if cfg.weight_decay > 0.0 {
         g.axpy(cfg.weight_decay, w);
     }
 
@@ -65,47 +63,6 @@ pub fn adam_step(
         lr * m_hat / (v_hat.sqrt() + eps)
     });
 
-    if cfg.weight_decay > 0.0 && cfg.decoupled_decay {
-        w.scale_inplace(1.0 - cfg.lr * cfg.weight_decay);
-    }
-    w.axpy(-1.0, &update);
-}
-
-/// One dense SGD update: `w ← w − lr · (g + weight_decay · w)`, with
-/// classical momentum `v ← µ·v + g` when `velocity` is provided.
-///
-/// # Panics
-/// Panics on shape mismatches between the operands.
-pub fn sgd_step(
-    w: &mut Tensor,
-    grad: &Tensor,
-    velocity: Option<&mut Tensor>,
-    lr: f64,
-    momentum: f64,
-    weight_decay: f64,
-) {
-    let mut g = grad.clone();
-    if weight_decay > 0.0 {
-        g.axpy(weight_decay, w);
-    }
-    if let Some(v) = velocity {
-        v.scale_inplace(momentum);
-        v.add_assign(&g);
-        w.axpy(-lr, v);
-    } else {
-        w.axpy(-lr, &g);
-    }
-}
-
-/// One dense Adagrad update: `acc ← acc + g²`,
-/// `w ← w − lr · g / (√acc + eps)`.
-///
-/// # Panics
-/// Panics on shape mismatches between the operands.
-pub fn adagrad_step(w: &mut Tensor, grad: &Tensor, accum: &mut Tensor, lr: f64, eps: f64) {
-    let g_sq = grad.map(|x| x * x);
-    accum.add_assign(&g_sq);
-    let update = grad.zip_map(accum, |gv, av| lr * gv / (av.sqrt() + eps));
     w.axpy(-1.0, &update);
 }
 
@@ -124,25 +81,8 @@ mod tests {
             beta2: 0.999,
             eps: 1e-8,
             weight_decay: 0.0,
-            decoupled_decay: false,
         };
         adam_step(&mut w, &Tensor::scalar(123.0), &mut m, &mut v, 1, &cfg);
         assert!((w.item() - 9.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_plain_step() {
-        let mut w = Tensor::row_vec(&[1.0, 2.0]);
-        sgd_step(&mut w, &Tensor::row_vec(&[1.0, -1.0]), None, 0.5, 0.0, 0.0);
-        assert_eq!(w.data(), &[0.5, 2.5]);
-    }
-
-    #[test]
-    fn adagrad_accumulates() {
-        let mut w = Tensor::scalar(1.0);
-        let mut acc = Tensor::zeros(1, 1);
-        adagrad_step(&mut w, &Tensor::scalar(2.0), &mut acc, 0.1, 0.0);
-        assert_eq!(acc.item(), 4.0);
-        assert!((w.item() - (1.0 - 0.1)).abs() < 1e-12);
     }
 }

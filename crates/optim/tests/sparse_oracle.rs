@@ -1,12 +1,10 @@
-//! Property-based equivalence tests: the sparse-aware optimizers against
-//! the legacy dense formulas in `dt_optim::reference`.
+//! Property-based equivalence tests: the sparse-aware Adam against the
+//! legacy dense formula in `dt_optim::reference`.
 //!
-//! Three tiers of strictness, matching the documented semantics:
+//! Two tiers of strictness, matching the documented semantics:
 //!
 //! * `DenseEquivalent` mode must be **bit-identical** to the dense oracle
-//!   for any sequence of sparse gradients (Adam, the hardest case).
-//! * Lazy Adagrad and plain lazy SGD are *exactly* dense-equivalent by
-//!   construction, so they too must match bit for bit.
+//!   for any sequence of sparse gradients.
 //! * Lazy Adam with every row touched each step (sparse gradients covering
 //!   all rows) must match the oracle numerically — the folded bias
 //!   correction is algebraically equal but rounds differently.
@@ -15,7 +13,7 @@
 //! `SplitMix64` stream, so a failure replays from its case number.
 
 use dt_autograd::Params;
-use dt_optim::{reference, Adagrad, Adam, AdamW, GradMode, Optimizer, Sgd};
+use dt_optim::{reference, Adam, GradMode, Optimizer};
 use dt_tensor::{RowSparse, SplitMix64, Tensor};
 
 /// Cases per property.
@@ -51,18 +49,10 @@ fn adam_dense_equivalent_is_bit_identical_to_oracle() {
     for_each_case(0x0B71, |case, rng| {
         let seq = batches(rng, 5, 3);
         let wd = [0.0, 0.02][rng.next_below(2)];
-        let decoupled = rng.next_u64() & 1 == 1;
-        let use_adamw = decoupled && wd > 0.0;
         let mut params = Params::new();
         let w = params.add("w", init_table(5, 3));
-        let mut opt: Box<dyn Optimizer> = if use_adamw {
-            Box::new(AdamW::new(0.05, wd).with_grad_mode(GradMode::DenseEquivalent))
-        } else {
-            Box::new(
-                Adam::with_config(0.05, 0.9, 0.999, 1e-8, wd)
-                    .with_grad_mode(GradMode::DenseEquivalent),
-            )
-        };
+        let mut opt =
+            Adam::with_config(0.05, 0.9, 0.999, 1e-8, wd).with_grad_mode(GradMode::DenseEquivalent);
 
         let mut oracle_w = params.value(w).clone();
         let mut m = Tensor::zeros(5, 3);
@@ -73,7 +63,6 @@ fn adam_dense_equivalent_is_bit_identical_to_oracle() {
             beta2: 0.999,
             eps: 1e-8,
             weight_decay: wd,
-            decoupled_decay: use_adamw,
         };
 
         for (t, (idx, src)) in seq.iter().enumerate() {
@@ -89,48 +78,6 @@ fn adam_dense_equivalent_is_bit_identical_to_oracle() {
                 t as u64 + 1,
                 &cfg,
             );
-        }
-        assert_eq!(params.value(w).data(), oracle_w.data(), "case {case}");
-    });
-}
-
-#[test]
-fn adagrad_lazy_is_bit_identical_to_oracle() {
-    for_each_case(0x0B72, |case, rng| {
-        let seq = batches(rng, 6, 2);
-        let mut params = Params::new();
-        let w = params.add("w", init_table(6, 2));
-        let mut opt = Adagrad::new(0.3);
-
-        let mut oracle_w = params.value(w).clone();
-        let mut acc = Tensor::zeros(6, 2);
-
-        for (idx, src) in &seq {
-            let sparse = RowSparse::from_scatter(6, 2, idx, src);
-            params.accumulate_grad_rows(w, sparse.clone());
-            opt.step(&mut params);
-            params.zero_grad();
-            reference::adagrad_step(&mut oracle_w, &sparse.to_dense(), &mut acc, 0.3, 1e-10);
-        }
-        assert_eq!(params.value(w).data(), oracle_w.data(), "case {case}");
-    });
-}
-
-#[test]
-fn plain_sgd_lazy_is_bit_identical_to_oracle() {
-    for_each_case(0x0B73, |case, rng| {
-        let seq = batches(rng, 4, 3);
-        let mut params = Params::new();
-        let w = params.add("w", init_table(4, 3));
-        let mut opt = Sgd::new(0.1);
-
-        let mut oracle_w = params.value(w).clone();
-        for (idx, src) in &seq {
-            let sparse = RowSparse::from_scatter(4, 3, idx, src);
-            params.accumulate_grad_rows(w, sparse.clone());
-            opt.step(&mut params);
-            params.zero_grad();
-            reference::sgd_step(&mut oracle_w, &sparse.to_dense(), None, 0.1, 0.0, 0.0);
         }
         assert_eq!(params.value(w).data(), oracle_w.data(), "case {case}");
     });
@@ -157,7 +104,6 @@ fn lazy_adam_matches_oracle_when_all_rows_touched() {
             beta2: 0.999,
             eps: 1e-8,
             weight_decay: 0.0,
-            decoupled_decay: false,
         };
 
         for (t, (idx, src)) in seq.iter().enumerate() {

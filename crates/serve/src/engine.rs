@@ -15,26 +15,6 @@ pub const DEFAULT_BLOCK_ELEMS: usize = 1 << 22;
 /// panel and per-block latency bounded).
 pub(crate) const MAX_BLOCK_USERS: usize = 512;
 
-/// Which candidate generator a caller asks for: the retrieval hint of
-/// `dt-core`'s `Recommender::recommend_top_k_with`, which maps `Exact`
-/// onto the fused scan over a `PanelDtype::F64` export
-/// ([`TopKEngine::recommend_quantized_into`]) and `Ivf` onto
-/// [`TopKEngine::recommend_ivf_into`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrievalMode {
-    /// Score the full catalog (always exact).
-    Exact,
-    /// Probe the `nprobe` best cells of an `nlist`-cell [`IvfIndex`] and
-    /// rerank their members exactly. Falls back towards exact on
-    /// candidate shortfall (see [`TopKEngine::recommend_ivf_into`]).
-    Ivf {
-        /// Cell count the companion [`IvfIndex`] was built with.
-        nlist: usize,
-        /// Cells probed per user before any shortfall widening.
-        nprobe: usize,
-    },
-}
-
 /// Reusable per-query scratch for the IVF arm. All five buffers grow to
 /// their steady-state size on the first query and are only rewritten
 /// afterwards, so repeated queries through one scratch allocate nothing.

@@ -62,7 +62,7 @@ mod qindex;
 
 pub use dt_tensor::quant::{Panel, PanelDtype};
 pub use dt_tensor::topk::Ranked;
-pub use engine::{IvfScratch, RetrievalMode, TopKBatch, TopKEngine, DEFAULT_BLOCK_ELEMS};
+pub use engine::{IvfScratch, TopKBatch, TopKEngine, DEFAULT_BLOCK_ELEMS};
 pub use index::{ScoringIndex, SeenLists};
 pub use ivf::{IvfIndex, IvfParams};
 pub use qengine::QuantScratch;

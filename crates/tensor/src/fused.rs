@@ -195,12 +195,8 @@ pub struct AdamDense {
     pub scale: f64,
     /// `eps · √(1 − β₂ᵗ)`, the shifted epsilon that goes with `scale`.
     pub eps: f64,
-    /// Coupled L2 coefficient folded into the gradient; `0` for none (and
-    /// for AdamW, whose decay is `decay`).
+    /// Coupled L2 coefficient folded into the gradient; `0` for none.
     pub l2: f64,
-    /// Weight multiplier applied before the update: `1 − lr·wd` for
-    /// AdamW, `1` otherwise.
-    pub decay: f64,
 }
 
 /// Minimum elements before [`adam_dense`] fans out to the pool.
@@ -210,7 +206,7 @@ const ADAM_PAR_MIN: usize = 1 << 14;
 /// both moments and the gradient, in place:
 ///
 /// `g' = g + l2·w` (only when `l2 > 0`), `m = β₁·m + (1 − β₁)·g'`,
-/// `v = β₂·v + (1 − β₂)·g'·g'`, `w = decay·w − scale·m / (√v + eps)`.
+/// `v = β₂·v + (1 − β₂)·g'·g'`, `w = w − scale·m / (√v + eps)`.
 ///
 /// Above a size threshold the slices are split into one contiguous chunk
 /// per thread of the shared pool; every element keeps its expression, so
@@ -254,7 +250,6 @@ fn adam_run(w: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64], c: AdamDense
         scale,
         eps,
         l2,
-        decay,
     } = c;
     for (((wj, mj), vj), &gj) in w.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
         let mut gi = gj;
@@ -263,7 +258,7 @@ fn adam_run(w: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64], c: AdamDense
         }
         *mj = b1 * *mj + (1.0 - b1) * gi;
         *vj = b2 * *vj + (1.0 - b2) * gi * gi;
-        *wj = decay * *wj - scale * *mj / (vj.sqrt() + eps);
+        *wj -= scale * *mj / (vj.sqrt() + eps);
     }
 }
 
@@ -392,7 +387,7 @@ mod tests {
             }
             m[j] = c.beta1 * m[j] + (1.0 - c.beta1) * gi;
             v[j] = c.beta2 * v[j] + (1.0 - c.beta2) * gi * gi;
-            w[j] = c.decay * w[j] - c.scale * m[j] / (v[j].sqrt() + c.eps);
+            w[j] -= c.scale * m[j] / (v[j].sqrt() + c.eps);
         }
     }
 
@@ -408,14 +403,13 @@ mod tests {
             };
             let (w0, m0, g) = (fill(2.0), fill(0.1), fill(1.0));
             let v0: Vec<f64> = fill(0.01).iter().map(|x| x * x).collect();
-            for (l2, decay) in [(0.0, 1.0), (1e-5, 1.0), (0.0, 1.0 - 0.03 * 0.01)] {
+            for l2 in [0.0, 1e-5] {
                 let c = AdamDense {
                     beta1: 0.9,
                     beta2: 0.999,
                     scale: 0.03 * (1.0 - 0.999f64.powi(3)).sqrt() / (1.0 - 0.9f64.powi(3)),
                     eps: 1e-8 * (1.0 - 0.999f64.powi(3)).sqrt(),
                     l2,
-                    decay,
                 };
                 let (mut w, mut m, mut v) = (w0.clone(), m0.clone(), v0.clone());
                 adam_sequential(&mut w, &mut m, &mut v, &g, c);
@@ -429,7 +423,7 @@ mod tests {
                             got.iter()
                                 .zip(want.iter())
                                 .all(|(a, b)| a.to_bits() == b.to_bits()),
-                            "{what} differs at len {len}, l2 {l2}, decay {decay}, width {limit}"
+                            "{what} differs at len {len}, l2 {l2}, width {limit}"
                         );
                     }
                 }
@@ -446,7 +440,6 @@ mod tests {
             scale: 0.1,
             eps: 1e-8,
             l2: 0.0,
-            decay: 1.0,
         };
         adam_dense(&mut [0.0; 3], &mut [0.0; 3], &mut [0.0; 2], &[0.0; 3], c);
     }

@@ -360,12 +360,6 @@ impl RowSparse {
         self.block.recycle();
     }
 
-    /// Multiplies the block by `alpha` in place (pool-parallel when large,
-    /// via the `dt-tensor` element-wise kernels).
-    pub fn scale_inplace(&mut self, alpha: f64) {
-        self.block.scale_inplace(alpha);
-    }
-
     /// Squared Frobenius norm (zero rows contribute nothing).
     #[must_use]
     pub fn frob_sq(&self) -> f64 {
@@ -615,14 +609,6 @@ impl Grad {
         match self {
             Grad::Dense(t) => t.recycle(),
             Grad::RowSparse(s) => s.recycle(),
-        }
-    }
-
-    /// Multiplies the stored values by `alpha` in place (gradient clipping).
-    pub fn scale_inplace(&mut self, alpha: f64) {
-        match self {
-            Grad::Dense(t) => t.scale_inplace(alpha),
-            Grad::RowSparse(s) => s.scale_inplace(alpha),
         }
     }
 
@@ -934,8 +920,6 @@ mod tests {
         let mut g = Grad::Dense(Tensor::from_rows(&[&[3.0, 4.0]]));
         assert_eq!(g.frob_sq(), 25.0);
         assert!(g.all_finite());
-        g.scale_inplace(0.5);
-        assert_eq!(g.frob_sq(), 6.25);
         g.clear();
         assert!(!g.is_dense());
         assert_eq!(g.frob_sq(), 0.0);

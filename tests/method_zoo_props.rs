@@ -165,3 +165,63 @@ fn dt_dr_uses_its_imputation() {
     };
     assert_ne!(fit(Method::DtIps), fit(Method::DtDr));
 }
+
+/// FNV-1a over the bit patterns of a fit's traces and a few predictions.
+fn fit_fingerprint(fit: &dt_core::FitReport, preds: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    let words = fit.loss_trace.iter().chain(&fit.aux_trace).chain(preds);
+    for bits in words.map(|x| x.to_bits()) {
+        for byte in bits.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every method's seeded fit on `tiny_mnar()` reproduces its recorded
+/// fingerprint bit for bit. A change that moves training numerics on
+/// purpose updates these values and says so in CHANGES.md.
+#[test]
+fn zoo_fits_match_their_pinned_fingerprints() {
+    const PINS: [(Method, u64); 22] = [
+        (Method::Mf, 0xba9e_503c_0459_ace2),
+        (Method::Cvib, 0x5b55_fea5_1e09_074a),
+        (Method::Dib, 0x6752_8f89_29bc_f84a),
+        (Method::Ips, 0xe254_03a4_01f1_2776),
+        (Method::Dr, 0xc5b3_e78a_9045_d2c4),
+        (Method::DrJl, 0x2054_56b8_d34b_7ae3),
+        (Method::MrdrJl, 0x5969_dd5d_1e42_c040),
+        (Method::DrBias, 0x6a8d_84f7_7a2c_0263),
+        (Method::DrMse, 0xae87_bd9a_c230_a6d6),
+        (Method::Mr, 0x1527_50ab_c44e_3296),
+        (Method::Tdr, 0x2df4_ed35_3143_0127),
+        (Method::TdrJl, 0x0318_2eb6_599e_a75d),
+        (Method::StableDr, 0x3e0f_e41e_e171_9103),
+        (Method::MultiIps, 0x835f_6aa3_0481_64ce),
+        (Method::MultiDr, 0x90ce_a7ff_5ea3_9cdb),
+        (Method::Esmm, 0x60c8_96d4_e361_45b2),
+        (Method::Escm2Ips, 0x2908_687a_3d04_e8bb),
+        (Method::Escm2Dr, 0x82be_72db_4e4c_5f9d),
+        (Method::IpsV2, 0x263f_e65e_72be_577a),
+        (Method::DrV2, 0xb6dc_c872_4561_b976),
+        (Method::DtIps, 0x8003_c4d4_d68f_bd93),
+        (Method::DtDr, 0xbf61_2400_270d_498b),
+    ];
+    let ds = tiny_mnar();
+    let pairs = [(0, 0), (3, 7), (11, 13), (24, 29)];
+    let mut moved = Vec::new();
+    for (method, pin) in PINS {
+        let mut model = registry::build(method, &ds, &tiny_cfg(), 11);
+        let mut rng = SplitMix64(11);
+        let fit = model.fit(&ds, &mut rng);
+        let got = fit_fingerprint(&fit, &model.predict(&pairs));
+        if got != pin {
+            moved.push(format!(
+                "{}: {got:#018x} (pinned {pin:#018x})",
+                method.label()
+            ));
+        }
+    }
+    assert!(moved.is_empty(), "fits moved:\n{}", moved.join("\n"));
+}

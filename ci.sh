@@ -63,17 +63,22 @@ timeout "$WORKSPACE_TEST_TIMEOUT" cargo test --workspace -q
 # optimizer suite (the pool-split dense Adam pass), the
 # serving engine's oracle tests (exact + IVF + fused scan + k-means), the
 # latency-histogram and load suites, and the bench helpers at explicit
-# widths, then smoke every bench report through the one dt-bench bin: each
+# widths, and the trainers' bit-identity pins (every method's seeded fit,
+# learned propensities and top-K lists in dt-core's method_zoo_props),
+# then smoke every bench report through the one dt-bench bin: each
 # runs its tiny sweep end to end (quant's f64 bit-identity assert, load's
 # generators, queue, batcher and worker arms included) and writes to a
 # scratch path under the system temp dir, so the committed BENCH_*.json
 # files stay untouched.
 WIDTH_SUITES=(-p dt-tensor -p dt-parallel -p dt-autograd -p dt-optim -p dt-serve -p dt-metrics -p dt-cache -p dt-load -p dt-bench)
 cargo test -q "${WIDTH_SUITES[@]}" --no-run
+cargo test -q -p dt-core --test method_zoo_props --no-run
 cargo build -q -p dt-bench --release
 for t in 1 2 8; do
     echo "==> cargo test ${WIDTH_SUITES[*]} (DT_NUM_THREADS=$t)"
     DT_NUM_THREADS=$t timeout "$TEST_TIMEOUT" cargo test -q "${WIDTH_SUITES[@]}"
+    echo "==> cargo test -p dt-core --test method_zoo_props (DT_NUM_THREADS=$t)"
+    DT_NUM_THREADS=$t timeout "$TEST_TIMEOUT" cargo test -q -p dt-core --test method_zoo_props
     for report in kernels train_step serve ann quant load; do
         echo "==> dt-bench $report --smoke (DT_NUM_THREADS=$t)"
         DT_NUM_THREADS=$t timeout "$TEST_TIMEOUT" cargo run -q -p dt-bench --release -- "$report" --smoke

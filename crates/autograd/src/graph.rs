@@ -214,22 +214,10 @@ impl Graph {
         self.push(Op::Neg(a), v)
     }
 
-    /// `a + c`.
-    pub fn add_scalar(&mut self, a: Var, c: f64) -> Var {
-        let v = self.value(a).add_scalar(c);
-        self.push(Op::AddScalar(a, c), v)
-    }
-
     /// `c · a`.
     pub fn mul_scalar(&mut self, a: Var, c: f64) -> Var {
         let v = self.value(a).scale(c);
         self.push(Op::MulScalar(a, c), v)
-    }
-
-    /// `a^p` element-wise.
-    pub fn pow_const(&mut self, a: Var, p: f64) -> Var {
-        let v = self.value(a).map(|x| x.powf(p));
-        self.push(Op::PowConst(a, p), v)
     }
 
     /// Logistic sigmoid.
@@ -244,28 +232,10 @@ impl Graph {
         self.push(Op::Tanh(a), v)
     }
 
-    /// ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
-        self.push(Op::Relu(a), v)
-    }
-
-    /// `exp(a)`.
-    pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f64::exp);
-        self.push(Op::Exp(a), v)
-    }
-
     /// `ln(a)`.
     pub fn ln(&mut self, a: Var) -> Var {
         let v = self.value(a).map(f64::ln);
         self.push(Op::Ln(a), v)
-    }
-
-    /// `√a`.
-    pub fn sqrt(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f64::sqrt);
-        self.push(Op::Sqrt(a), v)
     }
 
     /// `a²`.
@@ -278,22 +248,6 @@ impl Graph {
     pub fn clamp(&mut self, a: Var, lo: f64, hi: f64) -> Var {
         let v = self.value(a).clamp(lo, hi);
         self.push(Op::Clamp(a, lo, hi), v)
-    }
-
-    // -- scalar-variable broadcast ---------------------------------------------------
-
-    /// `a · s` for a `1×1` variable `s`.
-    pub fn mul_scalar_var(&mut self, a: Var, s: Var) -> Var {
-        let sv = self.item(s);
-        let v = self.value(a).scale(sv);
-        self.push(Op::MulScalarVar(a, s), v)
-    }
-
-    /// `a / s` for a `1×1` variable `s`.
-    pub fn div_scalar_var(&mut self, a: Var, s: Var) -> Var {
-        let sv = self.item(s);
-        let v = self.value(a).scale(1.0 / sv);
-        self.push(Op::DivScalarVar(a, s), v)
     }
 
     // -- matrix --------------------------------------------------------------------
@@ -317,13 +271,6 @@ impl Graph {
         let ((ta, ca), (tb, cb)) = (self.window(a), self.window(b));
         let v = ta.matmul_tn_cols(ca, tb, cb);
         self.push(Op::MatMulTN(a, b), v)
-    }
-
-    /// `A · Bᵀ`.
-    pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let ((ta, ca), (tb, cb)) = (self.window(a), self.window(b));
-        let v = ta.matmul_nt_cols(ca, tb, cb);
-        self.push(Op::MatMulNT(a, b), v)
     }
 
     /// `Aᵀ`.
@@ -356,12 +303,6 @@ impl Graph {
     pub fn frob_sq(&mut self, a: Var) -> Var {
         let v = Tensor::scalar(self.value(a).frob_sq());
         self.push(Op::FrobSq(a), v)
-    }
-
-    /// Per-row sums (`n×1`).
-    pub fn row_sums(&mut self, a: Var) -> Var {
-        let v = self.value(a).row_sums();
-        self.push(Op::RowSums(a), v)
     }
 
     /// Per-column sums (`1×c`).
@@ -409,12 +350,6 @@ impl Graph {
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
         let v = self.value(a).add_row_broadcast(self.value(bias));
         self.push(Op::AddRowBroadcast(a, bias), v)
-    }
-
-    /// `a + bias` with `bias: r×1` broadcast over columns.
-    pub fn add_col_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let v = self.value(a).add_col_broadcast(self.value(bias));
-        self.push(Op::AddColBroadcast(a, bias), v)
     }
 
     // -- gradient control / losses ----------------------------------------------------------
@@ -735,12 +670,7 @@ impl Graph {
             }
 
             Neg(a) => self.acc_neg_ref(grads, a, g),
-            AddScalar(a, _) => self.acc_ref(grads, a, g),
             MulScalar(a, c) => self.acc(grads, a, g.scale(c)),
-            PowConst(a, p) => {
-                let da = val(a).map(|x| p * x.powf(p - 1.0)).mul(g);
-                self.acc(grads, a, da);
-            }
             Sigmoid(a) => {
                 let da = out.map(|y| y * (1.0 - y)).mul(g);
                 self.acc(grads, a, da);
@@ -749,16 +679,7 @@ impl Graph {
                 let da = out.map(|y| 1.0 - y * y).mul(g);
                 self.acc(grads, a, da);
             }
-            Relu(a) => {
-                let da = val(a).zip_map(g, |x, gv| if x > 0.0 { gv } else { 0.0 });
-                self.acc(grads, a, da);
-            }
-            Exp(a) => self.acc(grads, a, out.mul(g)),
             Ln(a) => self.acc(grads, a, g.div(val(a))),
-            Sqrt(a) => {
-                let da = out.zip_map(g, |y, gv| gv / (2.0 * y));
-                self.acc(grads, a, da);
-            }
             Sqr(a) => {
                 let da = val(a).zip_map(g, |x, gv| 2.0 * x * gv);
                 self.acc(grads, a, da);
@@ -766,17 +687,6 @@ impl Graph {
             Clamp(a, lo, hi) => {
                 let da = val(a).zip_map(g, |x, gv| if (lo..=hi).contains(&x) { gv } else { 0.0 });
                 self.acc(grads, a, da);
-            }
-
-            MulScalarVar(a, s) => {
-                let sv = val(s).item();
-                self.acc(grads, a, g.scale(sv));
-                self.acc(grads, s, Tensor::scalar(g.dot(val(a))));
-            }
-            DivScalarVar(a, s) => {
-                let sv = val(s).item();
-                self.acc(grads, a, g.scale(1.0 / sv));
-                self.acc(grads, s, Tensor::scalar(-g.dot(out) / sv));
             }
 
             MatMul(a, b) => {
@@ -806,13 +716,6 @@ impl Graph {
                     }
                     self.acc_matmul(grads, b, &[1.0], self.window(a), g);
                 }
-            }
-            MatMulNT(a, b) => {
-                // C = A·Bᵀ → dA = g·B, dB = gᵀ·A
-                let ((ta, ca), (tb, cb)) = (self.window(a), self.window(b));
-                let gc = 0..g.cols();
-                self.acc(grads, a, g.matmul_cols(gc.clone(), tb, cb));
-                self.acc(grads, b, g.matmul_tn_cols(gc, ta, ca));
             }
             Transpose(a) => self.acc(grads, a, g.transpose()),
             RowDot(a, b) => {
@@ -847,18 +750,6 @@ impl Graph {
             FrobSq(a) => {
                 self.acc(grads, a, val(a).scale(2.0 * g.item()));
             }
-            RowSums(a) => {
-                let t = val(a);
-                // pool: every element is assigned below.
-                let mut da = Tensor::pooled_scratch(t.rows(), t.cols());
-                for r in 0..t.rows() {
-                    let gv = g.get(r, 0);
-                    for v in da.row_mut(r) {
-                        *v = gv;
-                    }
-                }
-                self.acc(grads, a, da);
-            }
             ColSums(a) => {
                 let t = val(a);
                 // pool: every row is copied over below.
@@ -884,10 +775,6 @@ impl Graph {
             AddRowBroadcast(a, bias) => {
                 self.acc_ref(grads, a, g);
                 self.acc(grads, bias, g.col_sums());
-            }
-            AddColBroadcast(a, bias) => {
-                self.acc_ref(grads, a, g);
-                self.acc(grads, bias, g.row_sums());
             }
 
             BceWithLogits(x, t) => {

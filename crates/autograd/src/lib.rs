@@ -8,7 +8,7 @@
 //! ## Design
 //!
 //! * **Enum ops, no closures.** Every differentiable operation is a variant
-//!   of [`op::Op`] with an explicit, auditable backward rule. The tape is a
+//!   of the crate's `Op` enum with an explicit, auditable backward rule. The tape is a
 //!   `Vec` of nodes in topological order (construction order), so backward
 //!   is a single reverse sweep.
 //! * **Graph-per-step.** Training loops build a fresh [`Graph`] per
@@ -57,7 +57,6 @@ mod snapshot;
 
 pub use dt_tensor::{Grad, RowSparse};
 pub use graph::{Graph, Var};
-pub use op::Op;
 pub use params::{ParamId, Params};
 #[cfg(feature = "serde")]
 pub use snapshot::ParamsSnapshot;

@@ -12,7 +12,7 @@ use crate::params::ParamId;
 /// Backward rules live in [`crate::Graph::backward`]; every rule is verified
 /// against central finite differences in the test suite.
 #[derive(Clone, Debug)]
-pub enum Op {
+pub(crate) enum Op {
     /// A leaf tensor; `Some(id)` when it mirrors a parameter in a
     /// [`crate::Params`] store (gradients flow back into the store).
     Leaf(Option<ParamId>),
@@ -32,42 +32,24 @@ pub enum Op {
     // -- element-wise unary -------------------------------------------------
     /// `-a`.
     Neg(Var),
-    /// `a + c` for a compile-time constant `c`.
-    AddScalar(Var, f64),
     /// `c · a` for a compile-time constant `c`.
     MulScalar(Var, f64),
-    /// `a^p` element-wise (callers must keep the base in `p`'s domain).
-    PowConst(Var, f64),
     /// Logistic sigmoid `σ(a)`.
     Sigmoid(Var),
     /// Hyperbolic tangent.
     Tanh(Var),
-    /// Rectified linear unit `max(a, 0)`.
-    Relu(Var),
-    /// `exp(a)`.
-    Exp(Var),
     /// Natural logarithm (domain `a > 0`).
     Ln(Var),
-    /// `√a` (domain `a ≥ 0`).
-    Sqrt(Var),
     /// `a²`.
     Sqr(Var),
     /// `clamp(a, lo, hi)`; gradient passes inside `[lo, hi]`.
     Clamp(Var, f64, f64),
-
-    // -- scalar-variable broadcast -------------------------------------------
-    /// `a · s` where `s` is a `1×1` variable.
-    MulScalarVar(Var, Var),
-    /// `a / s` where `s` is a `1×1` variable.
-    DivScalarVar(Var, Var),
 
     // -- matrix ---------------------------------------------------------------
     /// `A · B`.
     MatMul(Var, Var),
     /// `Aᵀ · B` (Gram-style product without materialised transpose).
     MatMulTN(Var, Var),
-    /// `A · Bᵀ`.
-    MatMulNT(Var, Var),
     /// `Aᵀ`.
     Transpose(Var),
     /// Row-wise dot product of two `n×k` tensors, producing `n×1`.
@@ -80,8 +62,6 @@ pub enum Op {
     Mean(Var),
     /// Squared Frobenius norm `Σ a²` (scalar output).
     FrobSq(Var),
-    /// Per-row sums (`n×1` output).
-    RowSums(Var),
     /// Per-column sums (`1×c` output).
     ColSums(Var),
 
@@ -96,8 +76,6 @@ pub enum Op {
     SliceCols(Var, usize, usize),
     /// `a + bias` where `bias` is `1×c`, broadcast over rows.
     AddRowBroadcast(Var, Var),
-    /// `a + bias` where `bias` is `r×1`, broadcast over columns.
-    AddColBroadcast(Var, Var),
 
     // -- gradient control / losses -----------------------------------------------
     /// Identity forward, zero backward (stop-gradient).
@@ -119,7 +97,7 @@ pub enum Op {
 /// every node pushed onto the tape, so it must not heap-allocate (R10);
 /// no op has more than three inputs. Dereferences to `&[Var]`.
 #[derive(Debug, Clone, Copy)]
-pub struct Inputs {
+pub(crate) struct Inputs {
     vars: [Var; 3],
     len: usize,
 }
@@ -151,7 +129,7 @@ impl std::ops::Deref for Inputs {
 impl Op {
     /// The input variables of this op, in a fixed order.
     #[must_use]
-    pub fn inputs(&self) -> Inputs {
+    pub(crate) fn inputs(&self) -> Inputs {
         use Op::*;
         match self {
             Leaf(_) | Constant => Inputs::EMPTY,
@@ -161,43 +139,27 @@ impl Op {
             | Div(a, b)
             | MatMul(a, b)
             | MatMulTN(a, b)
-            | MatMulNT(a, b)
             | RowDot(a, b)
             | ConcatCols(a, b)
             | AddRowBroadcast(a, b)
-            | AddColBroadcast(a, b)
             | BceWithLogits(a, b)
-            | MulScalarVar(a, b)
-            | DivScalarVar(a, b)
             | SigmoidBceMean(a, b, _) => Inputs::of(&[*a, *b]),
             IpsWeightedBceMean(w, x, t, _) => Inputs::of(&[*w, *x, *t]),
             Neg(a)
-            | AddScalar(a, _)
             | MulScalar(a, _)
-            | PowConst(a, _)
             | Sigmoid(a)
             | Tanh(a)
-            | Relu(a)
-            | Exp(a)
             | Ln(a)
-            | Sqrt(a)
             | Sqr(a)
             | Clamp(a, _, _)
             | Transpose(a)
             | Sum(a)
             | Mean(a)
             | FrobSq(a)
-            | RowSums(a)
             | ColSums(a)
             | Gather(a, _)
             | SliceCols(a, _, _)
             | Detach(a) => Inputs::of(&[*a]),
         }
-    }
-
-    /// Returns `true` for ops that block gradient flow to their inputs.
-    #[must_use]
-    pub fn blocks_gradient(&self) -> bool {
-        matches!(self, Op::Detach(_) | Op::Constant | Op::Leaf(_))
     }
 }

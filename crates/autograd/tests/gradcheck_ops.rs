@@ -55,10 +55,6 @@ fn unary_elementwise() {
         g.sum(s)
     });
     assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| {
-        let s = g.add_scalar(v[0], 3.5);
-        g.sum(s)
-    });
-    assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| {
         let s = g.mul_scalar(v[0], -2.0);
         g.sum(s)
     });
@@ -70,23 +66,8 @@ fn unary_elementwise() {
         let s = g.sigmoid(v[0]);
         g.sum(s)
     });
-    assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| {
+    assert_gradcheck(&[a], TOL, |g, v| {
         let s = g.tanh(v[0]);
-        g.sum(s)
-    });
-    assert_gradcheck(&[a], TOL, |g, v| {
-        let s = g.exp(v[0]);
-        g.sum(s)
-    });
-}
-
-#[test]
-fn relu_away_from_kink() {
-    let mut r = rng();
-    // Shift values away from 0 so finite differences don't straddle the kink.
-    let a = randn(3, 3, &mut r).map(|x| if x.abs() < 0.1 { x + 0.2 } else { x });
-    assert_gradcheck(&[a], TOL, |g, v| {
-        let s = g.relu(v[0]);
         g.sum(s)
     });
 }
@@ -95,16 +76,8 @@ fn relu_away_from_kink() {
 fn positive_domain_ops() {
     let mut r = rng();
     let a = randn(2, 4, &mut r).map(|x| x.abs() + 0.3);
-    assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| {
-        let s = g.ln(v[0]);
-        g.sum(s)
-    });
-    assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| {
-        let s = g.sqrt(v[0]);
-        g.sum(s)
-    });
     assert_gradcheck(&[a], TOL, |g, v| {
-        let s = g.pow_const(v[0], 1.7);
+        let s = g.ln(v[0]);
         g.sum(s)
     });
 }
@@ -127,21 +100,6 @@ fn clamp_away_from_edges() {
 }
 
 #[test]
-fn scalar_var_broadcast() {
-    let mut r = rng();
-    let a = randn(3, 2, &mut r);
-    let s = Tensor::scalar(1.7);
-    assert_gradcheck(&[a.clone(), s.clone()], TOL, |g, v| {
-        let p = g.mul_scalar_var(v[0], v[1]);
-        g.sum(p)
-    });
-    assert_gradcheck(&[a, s], TOL, |g, v| {
-        let p = g.div_scalar_var(v[0], v[1]);
-        g.sum(p)
-    });
-}
-
-#[test]
 fn matmul_family() {
     let mut r = rng();
     let a = randn(3, 4, &mut r);
@@ -156,14 +114,6 @@ fn matmul_family() {
     let d = randn(4, 2, &mut r);
     assert_gradcheck(&[c, d], TOL, |g, v| {
         let p = g.matmul_tn(v[0], v[1]);
-        let sq = g.sqr(p);
-        g.sum(sq)
-    });
-    // NT: shapes m×k, n×k
-    let e = randn(3, 4, &mut r);
-    let f = randn(2, 4, &mut r);
-    assert_gradcheck(&[e, f], TOL, |g, v| {
-        let p = g.matmul_nt(v[0], v[1]);
         let sq = g.sqr(p);
         g.sum(sq)
     });
@@ -193,11 +143,6 @@ fn reductions() {
     assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| g.sum(v[0]));
     assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| g.mean(v[0]));
     assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| g.frob_sq(v[0]));
-    assert_gradcheck(std::slice::from_ref(&a), TOL, |g, v| {
-        let rs = g.row_sums(v[0]);
-        let sq = g.sqr(rs);
-        g.sum(sq)
-    });
     assert_gradcheck(&[a], TOL, |g, v| {
         let cs = g.col_sums(v[0]);
         let sq = g.sqr(cs);
@@ -239,14 +184,8 @@ fn broadcasts() {
     let mut r = rng();
     let a = randn(3, 4, &mut r);
     let row_bias = randn(1, 4, &mut r);
-    let col_bias = randn(3, 1, &mut r);
-    assert_gradcheck(&[a.clone(), row_bias], TOL, |g, v| {
+    assert_gradcheck(&[a, row_bias], TOL, |g, v| {
         let s = g.add_row_broadcast(v[0], v[1]);
-        let sq = g.sqr(s);
-        g.sum(sq)
-    });
-    assert_gradcheck(&[a, col_bias], TOL, |g, v| {
-        let s = g.add_col_broadcast(v[0], v[1]);
         let sq = g.sqr(s);
         g.sum(sq)
     });

@@ -32,23 +32,19 @@ fn small_tensor(rng: &mut SplitMix64) -> Tensor {
 enum UnaryOp {
     Sigmoid,
     Tanh,
-    Exp,
     Sqr,
     Neg,
     MulScalar(f64),
-    AddScalar(f64),
 }
 
-/// One of the seven ops, each equally likely; scalars in [-2, 2).
+/// One of the five ops, each equally likely; scalars in [-2, 2).
 fn unary_op(rng: &mut SplitMix64) -> UnaryOp {
-    match rng.next_below(7) {
+    match rng.next_below(5) {
         0 => UnaryOp::Sigmoid,
         1 => UnaryOp::Tanh,
-        2 => UnaryOp::Exp,
-        3 => UnaryOp::Sqr,
-        4 => UnaryOp::Neg,
-        5 => UnaryOp::MulScalar(rng.next_uniform(-2.0, 2.0)),
-        _ => UnaryOp::AddScalar(rng.next_uniform(-2.0, 2.0)),
+        2 => UnaryOp::Sqr,
+        3 => UnaryOp::Neg,
+        _ => UnaryOp::MulScalar(rng.next_uniform(-2.0, 2.0)),
     }
 }
 
@@ -56,11 +52,9 @@ fn apply(g: &mut Graph, v: dt_autograd::Var, op: &UnaryOp) -> dt_autograd::Var {
     match op {
         UnaryOp::Sigmoid => g.sigmoid(v),
         UnaryOp::Tanh => g.tanh(v),
-        UnaryOp::Exp => g.exp(v),
         UnaryOp::Sqr => g.sqr(v),
         UnaryOp::Neg => g.neg(v),
         UnaryOp::MulScalar(c) => g.mul_scalar(v, *c),
-        UnaryOp::AddScalar(c) => g.add_scalar(v, *c),
     }
 }
 
@@ -72,7 +66,8 @@ fn random_unary_chains_pass_gradcheck() {
     for_each_case(GRAD_CASES, 0xAD01, |case, rng| {
         let x = small_tensor(rng);
         let ops: Vec<UnaryOp> = (0..1 + rng.next_below(4)).map(|_| unary_op(rng)).collect();
-        // Exp chains can explode; clamp the input range via tanh first.
+        // Scaled squares grow fast along a chain; bound the input via
+        // tanh first.
         let reports = gradcheck(&[x], 1e-5, |g, vars| {
             let mut v = g.tanh(vars[0]);
             for op in &ops {

@@ -9,6 +9,7 @@
 
 use dt_autograd::Graph;
 use dt_data::Dataset;
+use dt_models::propensity::clipped;
 use dt_models::MfModel;
 use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
@@ -53,10 +54,6 @@ impl BalancedRecommender {
             variant,
         }
     }
-
-    fn clipped_prop(&self, user: usize, item: usize) -> f64 {
-        dt_stats::expit(self.prop_model.score(user, item)).max(self.cfg.prop_clip)
-    }
 }
 
 impl Recommender for BalancedRecommender {
@@ -75,31 +72,15 @@ impl Recommender for BalancedRecommender {
             // --- propensity step: BCE over D̂ + balancing term --------
             {
                 let mut g = Graph::new();
-                let logits = rec.prop_model.logits(&mut g, &ub.users, &ub.items);
+                let logits = rec.prop_model.head().logits(&mut g, &ub.users, &ub.items);
                 let o = g.constant(Tensor::col_vec(&ub.observed));
                 let bce = g.bce_mean(logits, o);
 
                 // Balancing: prediction-model embeddings as the feature
                 // map φ(x) (detached constants here).
-                let phi_obs = {
-                    let pairs: Vec<(usize, usize)> = b
-                        .users
-                        .iter()
-                        .zip(&b.items)
-                        .map(|(&u, &i)| (u, i))
-                        .collect();
-                    feature_map(&rec.model, &pairs)
-                };
-                let phi_unif = {
-                    let pairs: Vec<(usize, usize)> = ub
-                        .users
-                        .iter()
-                        .zip(&ub.items)
-                        .map(|(&u, &i)| (u, i))
-                        .collect();
-                    feature_map(&rec.model, &pairs)
-                };
-                let obs_logits = rec.prop_model.logits(&mut g, &b.users, &b.items);
+                let phi_obs = feature_map(&rec.model, &b.users, &b.items);
+                let phi_unif = feature_map(&rec.model, &ub.users, &ub.items);
+                let obs_logits = rec.prop_model.head().logits(&mut g, &b.users, &b.items);
                 let p = g.sigmoid(obs_logits);
                 let pc = g.clamp(p, cfg.prop_clip, 1.0);
                 let ones = g.constant(Tensor::ones(b.len(), 1));
@@ -123,26 +104,22 @@ impl Recommender for BalancedRecommender {
             }
 
             // --- prediction step (IPS or DR with the balanced p̂) -----
-            let inv_p: Vec<f64> = b
-                .users
-                .iter()
-                .zip(&b.items)
-                .map(|(&u, &i)| 1.0 / rec.clipped_prop(u, i))
-                .collect();
+            let props = rec.prop_model.head().predict(&b.users, &b.items);
+            let inv_p: Vec<f64> = props.iter().map(|p| 1.0 / p.max(cfg.prop_clip)).collect();
             // Pseudo-labels from the imputation model (DR-V2 only).
             let r_tilde: Option<Vec<f64>> = rec
                 .imputation
                 .as_ref()
-                .map(|imp| imp.predict_batch(&b.users, &b.items));
+                .map(|imp| imp.head().predict(&b.users, &b.items));
             let r_tilde_unif: Option<Vec<f64>> = rec
                 .imputation
                 .as_ref()
-                .map(|imp| imp.predict_batch(&ub.users, &ub.items));
+                .map(|imp| imp.head().predict(&ub.users, &ub.items));
             let e_vals: Vec<f64>;
             let pred_vals: Vec<f64>;
             let batch_loss = {
                 let mut g = Graph::new();
-                let logits = rec.model.logits(&mut g, &b.users, &b.items);
+                let logits = rec.model.head().logits(&mut g, &b.users, &b.items);
                 let pred = g.sigmoid(logits);
                 let y = g.constant(Tensor::col_vec(&b.ratings));
                 let err = g.squared_error(pred, y);
@@ -156,7 +133,7 @@ impl Recommender for BalancedRecommender {
                         let diff = g.sub(err, e_hat);
                         let corr0 = g.weighted_mean(w, diff);
                         let corr = g.mul_scalar(corr0, density);
-                        let logits_u = rec.model.logits(&mut g, &ub.users, &ub.items);
+                        let logits_u = rec.model.head().logits(&mut g, &ub.users, &ub.items);
                         let pred_u = g.sigmoid(logits_u);
                         let rt_u = g.constant(Tensor::col_vec(
                             r_tilde_unif.as_ref().expect("DR-V2 has pseudo-labels"),
@@ -175,7 +152,7 @@ impl Recommender for BalancedRecommender {
             //     error (r̂ − r̃)² matches the realized error ----------
             if let Some(imp) = &mut rec.imputation {
                 let mut g = Graph::new();
-                let logits = imp.logits(&mut g, &b.users, &b.items);
+                let logits = imp.head().logits(&mut g, &b.users, &b.items);
                 let rt = g.sigmoid(logits);
                 let rhat = g.constant(Tensor::col_vec(&pred_vals));
                 let e_imp = g.squared_error(rhat, rt);
@@ -190,11 +167,11 @@ impl Recommender for BalancedRecommender {
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        self.model.predict(pairs)
+        self.model.head().predict_pairs(pairs)
     }
 
     fn scoring_index(&self) -> Option<dt_serve::ScoringIndex> {
-        Some(self.model.scoring_index())
+        Some(self.model.head().scoring_index())
     }
 
     fn n_parameters(&self) -> usize {
@@ -210,19 +187,20 @@ impl Recommender for BalancedRecommender {
         }
     }
 
-    fn propensity(&self, user: usize, item: usize) -> Option<f64> {
-        Some(self.clipped_prop(user, item))
+    fn propensity(&self, pairs: &[(usize, usize)]) -> Option<Vec<f64>> {
+        let props = self.prop_model.head().predict_pairs(pairs);
+        Some(clipped(props, self.cfg.prop_clip))
     }
 }
 
-/// The feature map φ(u, i): the prediction model's concatenated pair
-/// embedding, as plain values.
-fn feature_map(model: &MfModel, pairs: &[(usize, usize)]) -> Tensor {
-    let preds = model.predict(pairs);
+/// The balancing feature map φ(u, i) = [1, r̂(u, i)] over parallel index
+/// lists, as plain values.
+fn feature_map(model: &MfModel, users: &[usize], items: &[usize]) -> Tensor {
+    let preds = model.head().predict(users, items);
     // Use the model's predictions plus a constant as a low-dimensional
     // balancing feature: cheap, informative about x, and avoids reaching
     // into embedding internals.
-    let mut t = Tensor::zeros(pairs.len(), 2);
+    let mut t = Tensor::zeros(users.len(), 2);
     for (k, &p) in preds.iter().enumerate() {
         t.set(k, 0, 1.0);
         t.set(k, 1, p);
@@ -256,7 +234,7 @@ mod tests {
             let mut rng = SplitMix64(1);
             let rep = m.fit(&ds, &mut rng);
             assert!(rep.final_loss.is_finite(), "{:?}", rep.loss_trace);
-            assert!(m.propensity(0, 0).unwrap() >= cfg.prop_clip);
+            assert!(m.propensity(&[(0, 0)]).unwrap()[0] >= cfg.prop_clip);
         }
     }
 
@@ -285,13 +263,14 @@ mod tests {
         let mut m = BalancedRecommender::new(&ds, &cfg, BalancedVariant::IpsV2, 0);
         let mut rng = SplitMix64(1);
         m.fit(&ds, &mut rng);
-        let mean_inv: f64 = ds
+        let pairs: Vec<(usize, usize)> = ds
             .train
             .interactions()
             .iter()
-            .map(|it| 1.0 / m.clipped_prop(it.user as usize, it.item as usize))
-            .sum::<f64>()
-            / ds.train.len() as f64;
+            .map(|it| (it.user as usize, it.item as usize))
+            .collect();
+        let props = m.propensity(&pairs).unwrap();
+        let mean_inv: f64 = props.iter().map(|p| 1.0 / p).sum::<f64>() / ds.train.len() as f64;
         let mass = ds.train.density() * mean_inv;
         assert!((mass - 1.0).abs() < 0.35, "weighted mass {mass}");
     }

@@ -1,17 +1,21 @@
 //! Shared training-loop plumbing.
 
+use std::rc::Rc;
+
 use dt_data::{uniform_pairs, BatchIter, Dataset, Interaction, PairSet};
 use dt_models::propensity::LogisticMfPropensity;
 use dt_tensor::SplitMix64;
 
 use crate::config::TrainConfig;
 
-/// A mini-batch of observed interactions in parallel-array form.
+/// A mini-batch of observed interactions in parallel-array form. The
+/// index lists are built once per batch and shared: every head a step
+/// mounts on the batch holds them on its tape without a copy.
 pub struct Batch {
     /// User indices.
-    pub users: Vec<usize>,
+    pub users: Rc<Vec<usize>>,
     /// Item indices.
-    pub items: Vec<usize>,
+    pub items: Rc<Vec<usize>>,
     /// Binary ratings.
     pub ratings: Vec<f64>,
 }
@@ -21,8 +25,8 @@ impl Batch {
     #[must_use]
     pub fn from_interactions(batch: &[Interaction]) -> Self {
         Self {
-            users: batch.iter().map(|it| it.user as usize).collect(),
-            items: batch.iter().map(|it| it.item as usize).collect(),
+            users: Rc::new(batch.iter().map(|it| it.user as usize).collect()),
+            items: Rc::new(batch.iter().map(|it| it.item as usize).collect()),
             ratings: batch.iter().map(|it| it.rating).collect(),
         }
     }
@@ -31,13 +35,6 @@ impl Batch {
     #[must_use]
     pub fn len(&self) -> usize {
         self.users.len()
-    }
-
-    /// Returns `true` for an empty batch.
-    #[must_use]
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
     }
 }
 
@@ -73,12 +70,13 @@ pub fn run_epochs<R>(
 }
 
 /// A uniform sample from the full space `D` with observation labels —
-/// the Monte-Carlo estimate of every "entire-space" loss term.
+/// the Monte-Carlo estimate of every "entire-space" loss term. Its index
+/// lists are shared like [`Batch`]'s.
 pub struct UniformBatch {
     /// User indices.
-    pub users: Vec<usize>,
+    pub users: Rc<Vec<usize>>,
     /// Item indices.
-    pub items: Vec<usize>,
+    pub items: Rc<Vec<usize>>,
     /// Observation indicators `o ∈ {0,1}`.
     pub observed: Vec<f64>,
 }
@@ -93,8 +91,8 @@ pub fn uniform_batch(
 ) -> UniformBatch {
     let pairs = uniform_pairs(ds.n_users, ds.n_items, n, rng);
     UniformBatch {
-        users: pairs.iter().map(|p| p.user as usize).collect(),
-        items: pairs.iter().map(|p| p.item as usize).collect(),
+        users: Rc::new(pairs.iter().map(|p| p.user as usize).collect()),
+        items: Rc::new(pairs.iter().map(|p| p.item as usize).collect()),
         observed: pairs
             .iter()
             .map(|p| f64::from(observed.contains(p.user, p.item)))
@@ -115,15 +113,18 @@ pub fn fit_mar_propensity(
     LogisticMfPropensity::fit(ds, dim, cfg.epochs.max(10), cfg.lr, cfg.prop_clip, rng)
 }
 
-/// Clipped inverse propensities for an observed batch, as plain values
-/// (propensities are always detached in the debiasing losses).
+/// Clipped inverse propensities over parallel index lists, as plain
+/// values (propensities are always detached in the debiasing losses).
 #[must_use]
-pub fn inverse_propensities(prop: &LogisticMfPropensity, batch: &Batch, clip: f64) -> Vec<f64> {
-    batch
-        .users
+pub fn inverse_propensities(
+    prop: &LogisticMfPropensity,
+    users: &[usize],
+    items: &[usize],
+    clip: f64,
+) -> Vec<f64> {
+    prop.predict(users, items)
         .iter()
-        .zip(&batch.items)
-        .map(|(&u, &i)| 1.0 / prop.predict(u, i).max(clip))
+        .map(|p| 1.0 / p.max(clip))
         .collect()
 }
 
@@ -137,8 +138,8 @@ mod tests {
         let b =
             Batch::from_interactions(&[Interaction::new(1, 2, 1.0), Interaction::new(3, 4, 0.0)]);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.users, vec![1, 3]);
-        assert_eq!(b.items, vec![2, 4]);
+        assert_eq!(*b.users, vec![1, 3]);
+        assert_eq!(*b.items, vec![2, 4]);
         assert_eq!(b.ratings, vec![1.0, 0.0]);
     }
 

@@ -56,14 +56,14 @@ impl Recommender for CvibRecommender {
             let mut g = Graph::new();
 
             // Factual loss.
-            let logits = rec.model.logits(&mut g, &b.users, &b.items);
+            let logits = rec.model.head().logits(&mut g, &b.users, &b.items);
             let y = g.constant(Tensor::col_vec(&b.ratings));
             let factual = g.bce_mean(logits, y);
 
             // Contrastive balancing between domains.
             let pred_obs0 = g.sigmoid(logits);
             let pred_obs = g.mean(pred_obs0);
-            let miss_logits = rec.model.logits(&mut g, &ub.users, &ub.items);
+            let miss_logits = rec.model.head().logits(&mut g, &ub.users, &ub.items);
             let pred_miss0 = g.sigmoid(miss_logits);
             let pred_miss1 = g.mean(pred_miss0);
             let pred_miss = g.clamp(pred_miss1, 1e-6, 1.0 - 1e-6);
@@ -100,11 +100,11 @@ impl Recommender for CvibRecommender {
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        self.model.predict(pairs)
+        self.model.head().predict_pairs(pairs)
     }
 
     fn scoring_index(&self) -> Option<dt_serve::ScoringIndex> {
-        Some(self.model.scoring_index())
+        Some(self.model.head().scoring_index())
     }
 
     fn n_parameters(&self) -> usize {

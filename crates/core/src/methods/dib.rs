@@ -42,7 +42,6 @@ impl DibRecommender {
                 &DisentangledConfig {
                     total_dim: cfg.emb_dim,
                     primary_dim: cfg.primary_dim(),
-                    init_scale: 0.1,
                 },
                 &mut rng,
             ),
@@ -62,12 +61,12 @@ impl Recommender for DibRecommender {
             let mut g = Graph::new();
 
             // Training-time prediction uses the full embedding.
-            let full_logits = rec.model.propensity_logits(&mut g, &b.users, &b.items);
+            let full_logits = rec.model.propensity().logits(&mut g, &b.users, &b.items);
             let y = g.constant(Tensor::col_vec(&b.ratings));
             let full_loss = g.bce_mean(full_logits, y);
 
             // The unbiased block must be predictive on its own.
-            let unbiased_logits = rec.model.rating_logits(&mut g, &b.users, &b.items);
+            let unbiased_logits = rec.model.rating().logits(&mut g, &b.users, &b.items);
             let y2 = g.constant(Tensor::col_vec(&b.ratings));
             let unbiased_loss = g.bce_mean(unbiased_logits, y2);
 
@@ -84,7 +83,7 @@ impl Recommender for DibRecommender {
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
         // Test time: unbiased component only.
-        self.model.predict_rating_pairs(pairs)
+        self.model.rating().predict_pairs(pairs)
     }
 
     fn n_parameters(&self) -> usize {
@@ -92,7 +91,7 @@ impl Recommender for DibRecommender {
     }
 
     fn scoring_index(&self) -> Option<dt_serve::ScoringIndex> {
-        Some(self.model.rating_scoring_index())
+        Some(self.model.rating().scoring_index())
     }
 
     fn name(&self) -> &'static str {
@@ -134,7 +133,7 @@ mod tests {
         // Prediction equals the rating head (unbiased block), not the full
         // head.
         let p = m.predict(&[(3, 7)])[0];
-        assert!((p - m.model.predict_rating(3, 7)).abs() < 1e-12);
-        assert!((p - m.model.predict_propensity(3, 7)).abs() > 1e-9);
+        assert_eq!(p, m.model.rating().predict_pairs(&[(3, 7)])[0]);
+        assert!((p - m.model.propensity().predict_pairs(&[(3, 7)])[0]).abs() > 1e-9);
     }
 }

@@ -107,7 +107,7 @@ impl DrRecommender {
     /// imputation supervises the unobserved space in DR-JL.
     fn pseudo_labels(&self, users: &[usize], items: &[usize]) -> Vec<f64> {
         match &self.imputation {
-            Some(m) => m.predict_batch(users, items),
+            Some(m) => m.head().predict(users, items),
             None => vec![self.const_imp; users.len()],
         }
     }
@@ -145,13 +145,8 @@ impl Recommender for DrRecommender {
         let mut opt_imp = cfg.adam();
         let traces = run_epochs(self, ds, &cfg, rng, None, |rec, b, rng| {
             let ub = uniform_batch(ds, b.len(), &observed_set, rng);
-            let inv_p = inverse_propensities(&prop, b, cfg.prop_clip);
-            let inv_p_unif: Vec<f64> = ub
-                .users
-                .iter()
-                .zip(&ub.items)
-                .map(|(&u, &i)| 1.0 / prop.predict(u, i).max(cfg.prop_clip))
-                .collect();
+            let inv_p = inverse_propensities(&prop, &b.users, &b.items, cfg.prop_clip);
+            let inv_p_unif = inverse_propensities(&prop, &ub.users, &ub.items, cfg.prop_clip);
 
             // --- pseudo-labels (treated as given by the prediction
             //     step; ê = (r̂ − r̃)² stays live in the prediction
@@ -161,13 +156,7 @@ impl Recommender for DrRecommender {
 
             // Current prediction errors as values (for the targeted
             // correction and the imputation step).
-            let pairs_obs: Vec<(usize, usize)> = b
-                .users
-                .iter()
-                .zip(&b.items)
-                .map(|(&u, &i)| (u, i))
-                .collect();
-            let preds = rec.model.predict(&pairs_obs);
+            let preds = rec.model.head().predict(&b.users, &b.items);
             let e_vals: Vec<f64> = preds
                 .iter()
                 .zip(&b.ratings)
@@ -199,7 +188,7 @@ impl Recommender for DrRecommender {
             // --- prediction step --------------------------------------
             let batch_loss = {
                 let mut g = Graph::new();
-                let logits = rec.model.logits(&mut g, &b.users, &b.items);
+                let logits = rec.model.head().logits(&mut g, &b.users, &b.items);
                 let pred = g.sigmoid(logits);
                 let y = g.constant(Tensor::col_vec(&b.ratings));
                 let err = g.squared_error(pred, y);
@@ -220,7 +209,7 @@ impl Recommender for DrRecommender {
                 // Base term over the uniform full-space sample:
                 // mean[(r̂ − r̃)²] — this is where the pseudo-labels
                 // supervise the unobserved pairs.
-                let logits_u = rec.model.logits(&mut g, &ub.users, &ub.items);
+                let logits_u = rec.model.head().logits(&mut g, &ub.users, &ub.items);
                 let pred_u = g.sigmoid(logits_u);
                 let rt_u = g.constant(Tensor::col_vec(&r_tilde_unif));
                 let e_hat_unif = g.squared_error(pred_u, rt_u);
@@ -245,7 +234,7 @@ impl Recommender for DrRecommender {
                     .map(|(e, ip)| (e - eps * ip).max(0.0))
                     .collect();
                 let mut g = Graph::new();
-                let logits = imp.logits(&mut g, &b.users, &b.items);
+                let logits = imp.head().logits(&mut g, &b.users, &b.items);
                 let rt = g.sigmoid(logits);
                 let rhat = g.constant(Tensor::col_vec(&preds));
                 let e_imp = g.squared_error(rhat, rt);
@@ -271,11 +260,11 @@ impl Recommender for DrRecommender {
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        self.model.predict(pairs)
+        self.model.head().predict_pairs(pairs)
     }
 
     fn scoring_index(&self) -> Option<dt_serve::ScoringIndex> {
-        Some(self.model.scoring_index())
+        Some(self.model.head().scoring_index())
     }
 
     fn n_parameters(&self) -> usize {
@@ -294,8 +283,8 @@ impl Recommender for DrRecommender {
         self.variant.display_name()
     }
 
-    fn propensity(&self, user: usize, item: usize) -> Option<f64> {
-        self.prop.as_ref().map(|p| p.predict(user, item))
+    fn propensity(&self, pairs: &[(usize, usize)]) -> Option<Vec<f64>> {
+        self.prop.as_ref().map(|p| p.predict_pairs(pairs))
     }
 }
 

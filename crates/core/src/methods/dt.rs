@@ -62,7 +62,6 @@ impl DtRecommender {
             &DisentangledConfig {
                 total_dim: cfg.emb_dim,
                 primary_dim: cfg.primary_dim(),
-                init_scale: 0.1,
             },
             &mut rng,
         );
@@ -91,16 +90,6 @@ impl DtRecommender {
         self.use_regularization = false;
         self
     }
-
-    /// Clipped MNAR propensities from the model's own head (plain values),
-    /// through the batched propensity kernel.
-    fn head_propensities(&self, users: &[usize], items: &[usize]) -> Vec<f64> {
-        let mut out = self.model.predict_propensity_batch(users, items);
-        for p in &mut out {
-            *p = p.max(self.cfg.prop_clip);
-        }
-        out
-    }
 }
 
 impl Recommender for DtRecommender {
@@ -122,11 +111,8 @@ impl Recommender for DtRecommender {
 
             // Propensities at the observed pairs, detached: the
             // debiasing weights must not push the propensity head.
-            let inv_p: Vec<f64> = rec
-                .head_propensities(&b.users, &b.items)
-                .iter()
-                .map(|p| 1.0 / p)
-                .collect();
+            let props = rec.model.propensity().predict(&b.users, &b.items);
+            let inv_p: Vec<f64> = props.iter().map(|p| 1.0 / p.max(cfg.prop_clip)).collect();
 
             // Pseudo-labels r̃ from the imputation model (DT-DR only),
             // treated as given for this pass; the imputed error
@@ -135,23 +121,16 @@ impl Recommender for DtRecommender {
             let r_tilde_obs: Option<Vec<f64>> = rec
                 .imputation
                 .as_ref()
-                .map(|imp| imp.predict_batch(&b.users, &b.items));
+                .map(|imp| imp.head().predict(&b.users, &b.items));
             let r_tilde_unif: Option<Vec<f64>> = rec
                 .imputation
                 .as_ref()
-                .map(|imp| imp.predict_batch(&ub.users, &ub.items));
+                .map(|imp| imp.head().predict(&ub.users, &ub.items));
 
             // ---- main pass over the disentangled model ---------------
-            // One shared index list per side and batch: the rating and
-            // propensity heads (and the DR base term) gather through the
-            // same `Rc` instead of re-copying the lists per head.
-            let b_users = std::rc::Rc::new(b.users.clone());
-            let b_items = std::rc::Rc::new(b.items.clone());
-            let ub_users = std::rc::Rc::new(ub.users.clone());
-            let ub_items = std::rc::Rc::new(ub.items.clone());
             let mut g = Graph::new();
 
-            let logits = rec.model.rating_logits_indexed(&mut g, &b_users, &b_items);
+            let logits = rec.model.rating().logits(&mut g, &b.users, &b.items);
             let pred = g.sigmoid(logits);
             let y = g.constant(Tensor::col_vec(&b.ratings));
             let err = g.squared_error(pred, y);
@@ -166,9 +145,7 @@ impl Recommender for DtRecommender {
                     let corr = g.mul_scalar(corr0, density);
                     // Base term: imputed error over the uniform sample,
                     // live in the rating head.
-                    let logits_u = rec
-                        .model
-                        .rating_logits_indexed(&mut g, &ub_users, &ub_items);
+                    let logits_u = rec.model.rating().logits(&mut g, &ub.users, &ub.items);
                     let pred_u = g.sigmoid(logits_u);
                     let rt_u = g.constant(Tensor::col_vec(
                         r_tilde_unif.as_ref().expect("Dr variant has pseudo-labels"),
@@ -180,9 +157,7 @@ impl Recommender for DtRecommender {
             };
 
             // Propensity loss over the entire space (Monte Carlo).
-            let prop_logits = rec
-                .model
-                .propensity_logits_indexed(&mut g, &ub_users, &ub_items);
+            let prop_logits = rec.model.propensity().logits(&mut g, &ub.users, &ub.items);
             let o_labels = g.constant(Tensor::col_vec(&ub.observed));
             let prop_loss = g.bce_mean(prop_logits, o_labels);
 
@@ -206,14 +181,14 @@ impl Recommender for DtRecommender {
             // ---- imputation pass (DT-DR): train r̃ so the implied
             //      error (r̂ − r̃)² matches the realized error ----------
             if let Some(imp) = &mut rec.imputation {
-                let preds = rec.model.predict_rating_batch(&b.users, &b.items);
+                let preds = rec.model.rating().predict(&b.users, &b.items);
                 let e_vals: Vec<f64> = preds
                     .iter()
                     .zip(&b.ratings)
                     .map(|(p, r)| (p - r) * (p - r))
                     .collect();
                 let mut gi = Graph::new();
-                let imp_logits = imp.logits_indexed(&mut gi, &b_users, &b_items);
+                let imp_logits = imp.head().logits(&mut gi, &b.users, &b.items);
                 let rt = gi.sigmoid(imp_logits);
                 let rhat = gi.constant(Tensor::col_vec(&preds));
                 let e_imp = gi.squared_error(rhat, rt);
@@ -228,7 +203,7 @@ impl Recommender for DtRecommender {
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        self.model.predict_rating_pairs(pairs)
+        self.model.rating().predict_pairs(pairs)
     }
 
     fn n_parameters(&self) -> usize {
@@ -238,7 +213,7 @@ impl Recommender for DtRecommender {
     }
 
     fn scoring_index(&self) -> Option<dt_serve::ScoringIndex> {
-        Some(self.model.rating_scoring_index())
+        Some(self.model.rating().scoring_index())
     }
 
     fn name(&self) -> &'static str {
@@ -248,8 +223,8 @@ impl Recommender for DtRecommender {
         }
     }
 
-    fn propensity(&self, user: usize, item: usize) -> Option<f64> {
-        Some(self.model.predict_propensity(user, item))
+    fn propensity(&self, pairs: &[(usize, usize)]) -> Option<Vec<f64>> {
+        Some(self.model.propensity().predict_pairs(pairs))
     }
 }
 
@@ -287,7 +262,7 @@ mod tests {
             assert_eq!(rep.aux_trace.len(), 4, "disentangle trace per epoch");
             let preds = m.predict(&[(0, 0), (1, 1)]);
             assert!(preds.iter().all(|p| (0.0..=1.0).contains(p)));
-            assert!(m.propensity(0, 0).unwrap() > 0.0);
+            assert!(m.propensity(&[(0, 0)]).unwrap()[0] > 0.0);
         }
     }
 
@@ -366,19 +341,18 @@ mod tests {
         let mut m = DtRecommender::new(&ds, &cfg, DtVariant::Ips, 0);
         let mut rng = SplitMix64(1);
         m.fit(&ds, &mut rng);
-        let obs_mean: f64 = ds
+        let observed: Vec<(usize, usize)> = ds
             .train
             .interactions()
             .iter()
             .take(400)
-            .map(|it| m.propensity(it.user as usize, it.item as usize).unwrap())
-            .sum::<f64>()
-            / 400.0;
-        let mut rand_mean = 0.0;
-        for k in 0..400 {
-            rand_mean += m.propensity(k % ds.n_users, (7 * k) % ds.n_items).unwrap();
-        }
-        rand_mean /= 400.0;
+            .map(|it| (it.user as usize, it.item as usize))
+            .collect();
+        let random: Vec<(usize, usize)> = (0..400)
+            .map(|k| (k % ds.n_users, (7 * k) % ds.n_items))
+            .collect();
+        let obs_mean = m.propensity(&observed).unwrap().iter().sum::<f64>() / 400.0;
+        let rand_mean = m.propensity(&random).unwrap().iter().sum::<f64>() / 400.0;
         assert!(
             obs_mean > rand_mean,
             "observed-pair propensity {obs_mean} vs random {rand_mean}"

@@ -18,8 +18,6 @@ pub struct IpsRecommender {
     model: MfModel,
     prop: Option<LogisticMfPropensity>,
     cfg: TrainConfig,
-    /// Self-normalise the weights within each batch (SNIPS flavour).
-    self_normalized: bool,
 }
 
 impl IpsRecommender {
@@ -32,15 +30,7 @@ impl IpsRecommender {
             model: MfModel::new(ds.n_users, ds.n_items, cfg.emb_dim, &mut rng),
             prop: None,
             cfg: *cfg,
-            self_normalized: false,
         }
-    }
-
-    /// Switches to per-batch self-normalised weights.
-    #[must_use]
-    pub fn self_normalized(mut self) -> Self {
-        self.self_normalized = true;
-        self
     }
 }
 
@@ -52,18 +42,14 @@ impl Recommender for IpsRecommender {
         // Stage 2: reweighted prediction model.
         let mut opt = cfg.adam();
         let traces = run_epochs(self, ds, &cfg, rng, None, |rec, b, _| {
-            let inv_p = inverse_propensities(&prop, b, cfg.prop_clip);
+            let inv_p = inverse_propensities(&prop, &b.users, &b.items, cfg.prop_clip);
             let mut g = Graph::new();
-            let logits = rec.model.logits(&mut g, &b.users, &b.items);
+            let logits = rec.model.head().logits(&mut g, &b.users, &b.items);
             let pred = g.sigmoid(logits);
             let y = g.constant(Tensor::col_vec(&b.ratings));
             let err = g.squared_error(pred, y);
             let w = g.constant(Tensor::col_vec(&inv_p));
-            let loss = if rec.self_normalized {
-                g.self_normalized_mean(w, err)
-            } else {
-                g.weighted_mean(w, err)
-            };
+            let loss = g.weighted_mean(w, err);
             opt.minimize(g, loss, &mut rec.model.params)
         });
         self.prop = Some(prop);
@@ -71,11 +57,11 @@ impl Recommender for IpsRecommender {
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        self.model.predict(pairs)
+        self.model.head().predict_pairs(pairs)
     }
 
     fn scoring_index(&self) -> Option<dt_serve::ScoringIndex> {
-        Some(self.model.scoring_index())
+        Some(self.model.head().scoring_index())
     }
 
     fn n_parameters(&self) -> usize {
@@ -89,15 +75,11 @@ impl Recommender for IpsRecommender {
     }
 
     fn name(&self) -> &'static str {
-        if self.self_normalized {
-            "SNIPS"
-        } else {
-            "IPS"
-        }
+        "IPS"
     }
 
-    fn propensity(&self, user: usize, item: usize) -> Option<f64> {
-        self.prop.as_ref().map(|p| p.predict(user, item))
+    fn propensity(&self, pairs: &[(usize, usize)]) -> Option<Vec<f64>> {
+        self.prop.as_ref().map(|p| p.predict_pairs(pairs))
     }
 }
 
@@ -130,15 +112,7 @@ mod tests {
         let mut rng = SplitMix64(1);
         let rep = m.fit(&ds, &mut rng);
         assert!(rep.final_loss.is_finite());
-        let p = m.propensity(0, 0).unwrap();
+        let p = m.propensity(&[(0, 0)]).unwrap()[0];
         assert!(p > 0.0 && p <= 1.0);
-    }
-
-    #[test]
-    fn snips_variant_is_labelled() {
-        let ds = dataset();
-        let cfg = TrainConfig::default();
-        let m = IpsRecommender::new(&ds, &cfg, 0).self_normalized();
-        assert_eq!(m.name(), "SNIPS");
     }
 }

@@ -36,7 +36,7 @@ impl Recommender for MfRecommender {
         let mut opt = cfg.adam();
         run_epochs(self, ds, &cfg, rng, None, |rec, b, _| {
             let mut g = Graph::new();
-            let logits = rec.model.logits(&mut g, &b.users, &b.items);
+            let logits = rec.model.head().logits(&mut g, &b.users, &b.items);
             let y = g.constant(Tensor::col_vec(&b.ratings));
             let loss = g.bce_mean(logits, y);
             opt.minimize(g, loss, &mut rec.model.params)
@@ -44,11 +44,11 @@ impl Recommender for MfRecommender {
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        self.model.predict(pairs)
+        self.model.head().predict_pairs(pairs)
     }
 
     fn scoring_index(&self) -> Option<dt_serve::ScoringIndex> {
-        Some(self.model.scoring_index())
+        Some(self.model.head().scoring_index())
     }
 
     fn n_parameters(&self) -> usize {
@@ -84,7 +84,7 @@ mod tests {
         let mut m = MfRecommender::new(&ds, &cfg, 0);
         let mut rng = SplitMix64(1);
         let rep = m.fit(&ds, &mut rng);
-        assert_eq!(rep.epochs_run, 8);
+        assert_eq!(rep.loss_trace.len(), 8);
         assert!(rep.loss_trace[0] > rep.final_loss, "{:?}", rep.loss_trace);
         assert!(rep.final_loss < 0.69, "below chance-level BCE");
         assert!(rep.train_seconds > 0.0);

@@ -16,7 +16,7 @@
 
 use dt_autograd::Graph;
 use dt_data::Dataset;
-use dt_models::propensity::{ConstantPropensity, NaiveBayesAdapter, PropensityHead};
+use dt_models::propensity::{clipped, ConstantPropensity, NaiveBayesAdapter, PropensityHead};
 use dt_models::MfModel;
 use dt_optim::Optimizer;
 use dt_tensor::{SplitMix64, Tensor};
@@ -49,27 +49,22 @@ impl MrRecommender {
             const_imp: 0.25,
         }
     }
+}
 
-    fn mix_weights(&self) -> Vec<f64> {
-        let max = self
-            .mix_logits
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = self.mix_logits.iter().map(|l| (l - max).exp()).collect();
-        let total: f64 = exps.iter().sum();
-        exps.iter().map(|e| e / total).collect()
-    }
+/// The mixture weights: a softmax over the mixture logits.
+fn softmax(logits: &[f64]) -> Vec<f64> {
+    let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
+    let total: f64 = exps.iter().sum();
+    exps.iter().map(|e| e / total).collect()
+}
 
-    /// Combined inverse propensity for one observed interaction.
-    fn combined_inverse(&self, user: usize, item: usize, rating: f64) -> f64 {
-        let weights = self.mix_weights();
-        self.heads
-            .iter()
-            .zip(&weights)
-            .map(|(h, w)| w / h.propensity(user, item, rating).max(self.cfg.prop_clip))
-            .sum()
-    }
+/// Combined inverse propensity `Σ_h w_h / p_h` of each of a batch's `n`
+/// examples, from each candidate's clipped propensities over the batch.
+fn combined_inverse(weights: &[f64], props: &[Vec<f64>], n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|k| weights.iter().zip(props).map(|(w, p)| w / p[k]).sum())
+        .collect()
 }
 
 impl Recommender for MrRecommender {
@@ -88,16 +83,20 @@ impl Recommender for MrRecommender {
         let density = ds.train.density();
         let mut opt = cfg.adam();
         let (losses, _) = run_epochs(self, ds, &cfg, rng, None, |rec, b, _| {
-            let inv_p: Vec<f64> = (0..b.len())
-                .map(|k| rec.combined_inverse(b.users[k], b.items[k], b.ratings[k]))
+            // Each candidate's clipped propensities, scored once per step.
+            let props: Vec<Vec<f64>> = rec
+                .heads
+                .iter()
+                .map(|h| clipped(h.propensity(&b.users, &b.items, &b.ratings), cfg.prop_clip))
                 .collect();
+            let inv_p = combined_inverse(&softmax(&rec.mix_logits), &props, b.len());
 
             // Prediction step: DR with the combined weights and the
             // constant imputation.
             let e_vals: Vec<f64>;
             let batch_loss = {
                 let mut g = Graph::new();
-                let logits = rec.model.logits(&mut g, &b.users, &b.items);
+                let logits = rec.model.head().logits(&mut g, &b.users, &b.items);
                 let pred = g.sigmoid(logits);
                 let y = g.constant(Tensor::col_vec(&b.ratings));
                 let err = g.squared_error(pred, y);
@@ -120,22 +119,8 @@ impl Recommender for MrRecommender {
             // density·mean_O[w] = 1). Numeric gradient over the few
             // mixture logits.
             let diagnostic = |logits: &[f64]| -> f64 {
-                let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-                let total: f64 = exps.iter().sum();
-                let ws: Vec<f64> = exps.iter().map(|e| e / total).collect();
-                let mean_inv: f64 = (0..b.len())
-                    .map(|k| {
-                        rec.heads
-                            .iter()
-                            .zip(&ws)
-                            .map(|(h, w)| {
-                                w / h
-                                    .propensity(b.users[k], b.items[k], b.ratings[k])
-                                    .max(cfg.prop_clip)
-                            })
-                            .sum::<f64>()
-                    })
+                let mean_inv: f64 = combined_inverse(&softmax(logits), &props, b.len())
+                    .iter()
                     .sum::<f64>()
                     / b.len().max(1) as f64;
                 let resid = density * mean_inv - 1.0;
@@ -155,15 +140,15 @@ impl Recommender for MrRecommender {
             }
             batch_loss
         });
-        (losses, self.mix_weights())
+        (losses, softmax(&self.mix_logits))
     }
 
     fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-        self.model.predict(pairs)
+        self.model.head().predict_pairs(pairs)
     }
 
     fn scoring_index(&self) -> Option<dt_serve::ScoringIndex> {
-        Some(self.model.scoring_index())
+        Some(self.model.head().scoring_index())
     }
 
     fn n_parameters(&self) -> usize {

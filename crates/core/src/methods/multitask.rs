@@ -233,8 +233,8 @@ impl Recommender for MultiTaskRecommender {
         self.variant.display_name()
     }
 
-    fn propensity(&self, user: usize, item: usize) -> Option<f64> {
-        Some(self.model.predict_ctr(&[(user, item)])[0])
+    fn propensity(&self, pairs: &[(usize, usize)]) -> Option<Vec<f64>> {
+        Some(self.model.predict_ctr(pairs))
     }
 }
 
@@ -281,7 +281,7 @@ mod tests {
             );
             let preds = m.predict(&[(0, 0), (3, 4)]);
             assert!(preds.iter().all(|p| (0.0..=1.0).contains(p)));
-            assert!(m.propensity(0, 0).unwrap() > 0.0);
+            assert!(m.propensity(&[(0, 0)]).unwrap()[0] > 0.0);
         }
     }
 

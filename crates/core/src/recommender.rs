@@ -17,7 +17,6 @@ pub trait Recommender {
         let start = Instant::now(); // lint: allow(r4): training wall time for the report; never feeds the numerics
         let (loss_trace, aux_trace) = self.train(ds, rng);
         FitReport {
-            epochs_run: loss_trace.len(),
             final_loss: loss_trace.last().copied().unwrap_or(f64::NAN),
             loss_trace,
             aux_trace,
@@ -39,9 +38,9 @@ pub trait Recommender {
     /// Display name.
     fn name(&self) -> &'static str;
 
-    /// Learned propensity for a pair, when the method has a propensity
+    /// Learned propensity for each pair, when the method has a propensity
     /// model (used by the calibration diagnostics).
-    fn propensity(&self, _user: usize, _item: usize) -> Option<f64> {
+    fn propensity(&self, _pairs: &[(usize, usize)]) -> Option<Vec<f64>> {
         None
     }
 
@@ -108,8 +107,6 @@ pub trait Recommender {
 /// Outcome of a training run.
 #[derive(Debug, Clone)]
 pub struct FitReport {
-    /// Epochs actually run.
-    pub epochs_run: usize,
     /// Final epoch's mean training loss.
     pub final_loss: f64,
     /// Mean training loss per epoch.
@@ -245,7 +242,7 @@ mod tests {
             (Vec::new(), Vec::new())
         }
         fn predict(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
-            self.model.predict(pairs)
+            self.model.head().predict_pairs(pairs)
         }
         fn n_parameters(&self) -> usize {
             self.model.n_parameters()
@@ -254,7 +251,7 @@ mod tests {
             "served"
         }
         fn scoring_index(&self) -> Option<ScoringIndex> {
-            self.expose_index.then(|| self.model.scoring_index())
+            self.expose_index.then(|| self.model.head().scoring_index())
         }
     }
 
@@ -294,7 +291,7 @@ mod tests {
         };
         let users: Vec<usize> = (0..12).map(|j| (j * 7) % 9).collect();
         let seen = SeenLists::from_pairs(9, (0..9u32).map(|u| (u, (u * 5) % 41)));
-        let index = served.model.scoring_index();
+        let index = served.model.head().scoring_index();
         for seen in [None, Some(&seen)] {
             let served_batch = served.recommend_top_k(&users, 41, 5, seen);
             let reference = TopKEngine::new().recommend(&index, &users, 5, seen);

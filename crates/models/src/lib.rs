@@ -2,12 +2,16 @@
 //!
 //! The model zoo behind the `disrec` training methods:
 //!
-//! * [`MfModel`] — matrix factorisation with biases, the base model of
-//!   every method in the paper (§VI: "we use MF as our base model").
+//! * [`MfHead`] — the one MF scorer: a column range of shared embedding
+//!   tables plus a user / item / global bias triple, scored on a tape,
+//!   through the batched kernels, or from an exported serving index.
+//! * [`MfModel`] — matrix factorisation with biases (one head), the base
+//!   model of every method in the paper (§VI: "we use MF as our base
+//!   model").
 //! * [`DisentangledMf`] — the paper's contribution: embeddings split into
-//!   a primary block (rating prediction) and an auxiliary block that only
-//!   the propensity head sees, with the disentangling / regularisation
-//!   penalties of §IV-B.
+//!   a primary block (rating head) and an auxiliary block that only the
+//!   propensity head sees (two heads over the same tables), with the
+//!   disentangling / regularisation penalties of §IV-B.
 //! * [`Mlp`] / [`TowerModel`] — shared-embedding multi-tower architectures
 //!   used by Multi-IPS/DR, ESMM and ESCM² (§VI: "we use a shallow MLP to
 //!   implement these methods after the embedding layer").
@@ -17,16 +21,14 @@
 #![forbid(unsafe_code)]
 
 mod disentangled;
-mod embedding;
 mod mf;
 mod mlp;
 pub mod propensity;
 mod towers;
 
 pub use disentangled::{DisentangledConfig, DisentangledMf};
-pub use embedding::EmbeddingTable;
-pub use mf::MfModel;
-pub use mlp::{Activation, Mlp};
+pub use mf::{MfHead, MfModel};
+pub use mlp::Mlp;
 pub use towers::{TowerConfig, TowerModel};
 
 use dt_autograd::{Graph, Var};

@@ -3,27 +3,16 @@
 use dt_autograd::{Graph, ParamId, Params, Var};
 use dt_tensor::SplitMix64;
 
-/// Hidden-layer activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// Rectified linear unit.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-}
-
 struct Layer {
     w: ParamId,
     b: ParamId,
 }
 
-/// A fully-connected tower: `in → hidden… → out`, linear output (apply a
-/// sigmoid outside when a probability is needed).
+/// A fully-connected tower: `in → hidden… → out` with tanh hidden
+/// layers and a linear output (apply a sigmoid outside when a
+/// probability is needed).
 pub struct Mlp {
     layers: Vec<Layer>,
-    activation: Activation,
     sizes: Vec<usize>,
 }
 
@@ -34,13 +23,7 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics when fewer than two sizes are given.
-    pub fn new(
-        params: &mut Params,
-        name: &str,
-        sizes: &[usize],
-        activation: Activation,
-        rng: &mut SplitMix64,
-    ) -> Self {
+    pub fn new(params: &mut Params, name: &str, sizes: &[usize], rng: &mut SplitMix64) -> Self {
         assert!(sizes.len() >= 2, "Mlp: need at least input and output size");
         let layers = sizes
             .windows(2)
@@ -55,7 +38,6 @@ impl Mlp {
             .collect();
         Self {
             layers,
-            activation,
             sizes: sizes.to_vec(),
         }
     }
@@ -94,11 +76,7 @@ impl Mlp {
             let z = g.matmul(h, w);
             h = g.add_row_broadcast(z, b);
             if k < last {
-                h = match self.activation {
-                    Activation::Relu => g.relu(h),
-                    Activation::Tanh => g.tanh(h),
-                    Activation::Sigmoid => g.sigmoid(h),
-                };
+                h = g.tanh(h);
             }
         }
         h
@@ -115,7 +93,7 @@ mod tests {
     fn parameter_count() {
         let mut rng = SplitMix64(3);
         let mut params = Params::new();
-        let mlp = Mlp::new(&mut params, "t", &[4, 8, 1], Activation::Tanh, &mut rng);
+        let mlp = Mlp::new(&mut params, "t", &[4, 8, 1], &mut rng);
         // 4·8 + 8 + 8·1 + 1 = 49
         assert_eq!(mlp.n_parameters(), 49);
         assert_eq!(params.n_scalars(), 49);
@@ -127,7 +105,7 @@ mod tests {
     fn forward_shape() {
         let mut rng = SplitMix64(3);
         let mut params = Params::new();
-        let mlp = Mlp::new(&mut params, "t", &[3, 5, 2], Activation::Relu, &mut rng);
+        let mlp = Mlp::new(&mut params, "t", &[3, 5, 2], &mut rng);
         let mut g = Graph::new();
         let x = g.constant(Tensor::ones(7, 3));
         let y = mlp.forward(&mut g, &params, x);
@@ -141,7 +119,7 @@ mod tests {
         // whole autograd + optimizer + MLP stack.
         let mut rng = SplitMix64(9);
         let mut params = Params::new();
-        let mlp = Mlp::new(&mut params, "xor", &[2, 8, 1], Activation::Tanh, &mut rng);
+        let mlp = Mlp::new(&mut params, "xor", &[2, 8, 1], &mut rng);
         let x = Tensor::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
         let y = Tensor::col_vec(&[0.0, 1.0, 1.0, 0.0]);
         let mut opt = Adam::new(0.05);
@@ -167,7 +145,7 @@ mod tests {
     fn wrong_input_width_panics() {
         let mut rng = SplitMix64(3);
         let mut params = Params::new();
-        let mlp = Mlp::new(&mut params, "t", &[3, 1], Activation::Relu, &mut rng);
+        let mlp = Mlp::new(&mut params, "t", &[3, 1], &mut rng);
         let mut g = Graph::new();
         let x = g.constant(Tensor::ones(1, 2));
         let _ = mlp.forward(&mut g, &params, x);

@@ -11,6 +11,8 @@
 //!   (Schnabel et al. 2016). The paper's DT method removes that
 //!   requirement; this head serves as the classical reference.
 
+use std::rc::Rc;
+
 use dt_autograd::Graph;
 use dt_data::{uniform_pairs, Dataset, PairSet};
 use dt_optim::{Adam, Optimizer};
@@ -19,16 +21,23 @@ use dt_tensor::{SplitMix64, Tensor};
 
 use crate::mf::MfModel;
 
-/// Minimum clipped propensity used across the workspace.
-pub const DEFAULT_CLIP: f64 = 0.02;
-
 /// A fitted propensity head.
 pub trait PropensityHead {
-    /// Estimated propensity for an *observed* interaction (rating known).
-    fn propensity(&self, user: usize, item: usize, rating: f64) -> f64;
+    /// Estimated propensities for a batch of *observed* interactions
+    /// (ratings known), one per `(users[k], items[k], ratings[k])`.
+    fn propensity(&self, users: &[usize], items: &[usize], ratings: &[f64]) -> Vec<f64>;
 
     /// A short label for reports.
     fn label(&self) -> &'static str;
+}
+
+/// Clips propensities from below at `clip`.
+#[must_use]
+pub fn clipped(mut props: Vec<f64>, clip: f64) -> Vec<f64> {
+    for p in &mut props {
+        *p = p.max(clip);
+    }
+    props
 }
 
 /// The MCAR propensity: a single constant `P(o = 1)`.
@@ -45,21 +54,11 @@ impl ConstantPropensity {
             rate: ds.train.density().max(f64::MIN_POSITIVE),
         }
     }
-
-    /// Builds from a known rate.
-    ///
-    /// # Panics
-    /// Panics outside `(0, 1]`.
-    #[must_use]
-    pub fn from_rate(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0,1]");
-        Self { rate }
-    }
 }
 
 impl PropensityHead for ConstantPropensity {
-    fn propensity(&self, _user: usize, _item: usize, _rating: f64) -> f64 {
-        self.rate
+    fn propensity(&self, users: &[usize], _items: &[usize], _ratings: &[f64]) -> Vec<f64> {
+        vec![self.rate; users.len()]
     }
 
     fn label(&self) -> &'static str {
@@ -97,14 +96,14 @@ impl LogisticMfPropensity {
         for _ in 0..epochs {
             for _ in 0..steps_per_epoch {
                 let pairs = uniform_pairs(ds.n_users, ds.n_items, batch, rng);
-                let users: Vec<usize> = pairs.iter().map(|p| p.user as usize).collect();
-                let items: Vec<usize> = pairs.iter().map(|p| p.item as usize).collect();
+                let users = Rc::new(pairs.iter().map(|p| p.user as usize).collect());
+                let items = Rc::new(pairs.iter().map(|p| p.item as usize).collect());
                 let labels: Vec<f64> = pairs
                     .iter()
                     .map(|p| f64::from(observed.contains(p.user, p.item)))
                     .collect();
                 let mut g = Graph::new();
-                let logits = model.logits(&mut g, &users, &items);
+                let logits = model.head().logits(&mut g, &users, &items);
                 let y = g.constant(Tensor::col_vec(&labels));
                 let loss = g.bce_mean(logits, y);
                 opt.minimize(g, loss, &mut model.params);
@@ -113,10 +112,16 @@ impl LogisticMfPropensity {
         Self { model, clip }
     }
 
-    /// Raw (clipped) propensity for a pair.
+    /// Clipped propensities over parallel `users`/`items` index lists.
     #[must_use]
-    pub fn predict(&self, user: usize, item: usize) -> f64 {
-        dt_stats::expit(self.model.score(user, item)).max(self.clip)
+    pub fn predict(&self, users: &[usize], items: &[usize]) -> Vec<f64> {
+        clipped(self.model.head().predict(users, items), self.clip)
+    }
+
+    /// Clipped propensities for `(user, item)` pairs.
+    #[must_use]
+    pub fn predict_pairs(&self, pairs: &[(usize, usize)]) -> Vec<f64> {
+        clipped(self.model.head().predict_pairs(pairs), self.clip)
     }
 
     /// Parameter count of the underlying MF.
@@ -127,8 +132,8 @@ impl LogisticMfPropensity {
 }
 
 impl PropensityHead for LogisticMfPropensity {
-    fn propensity(&self, user: usize, item: usize, _rating: f64) -> f64 {
-        self.predict(user, item)
+    fn propensity(&self, users: &[usize], items: &[usize], _ratings: &[f64]) -> Vec<f64> {
+        self.predict(users, items)
     }
 
     fn label(&self) -> &'static str {
@@ -168,8 +173,11 @@ impl NaiveBayesAdapter {
 }
 
 impl PropensityHead for NaiveBayesAdapter {
-    fn propensity(&self, _user: usize, _item: usize, rating: f64) -> f64 {
-        self.nb.propensity(usize::from(rating > 0.5)).max(self.clip)
+    fn propensity(&self, _users: &[usize], _items: &[usize], ratings: &[f64]) -> Vec<f64> {
+        ratings
+            .iter()
+            .map(|&r| self.nb.propensity(usize::from(r > 0.5)).max(self.clip))
+            .collect()
     }
 
     fn label(&self) -> &'static str {
@@ -181,7 +189,6 @@ impl PropensityHead for NaiveBayesAdapter {
 mod tests {
     use super::*;
     use dt_data::{mechanism_dataset, Mechanism, MechanismConfig};
-    use dt_tensor::SplitMix64;
 
     fn mar_dataset() -> Dataset {
         mechanism_dataset(
@@ -201,8 +208,8 @@ mod tests {
     fn constant_head_matches_density() {
         let ds = mar_dataset();
         let head = ConstantPropensity::fit(&ds);
-        let p = head.propensity(0, 0, 1.0);
-        assert!((p - ds.train.density()).abs() < 1e-12);
+        let p = head.propensity(&[0, 4], &[0, 9], &[1.0, 0.0]);
+        assert_eq!(p, vec![ds.train.density(); 2]);
         assert_eq!(head.label(), "constant (MCAR)");
     }
 
@@ -213,14 +220,14 @@ mod tests {
         let mut rng = SplitMix64(10);
         let head = LogisticMfPropensity::fit(&ds, 4, 50, 0.05, 0.001, &mut rng);
         // Pearson correlation between p̂ and the oracle P(o|x) over a grid.
-        let mut est = Vec::new();
-        let mut tru = Vec::new();
-        for u in 0..ds.n_users {
-            for i in (0..ds.n_items).step_by(7) {
-                est.push(head.predict(u, i));
-                tru.push(truth.propensity_x.get(u, i));
-            }
-        }
+        let grid: Vec<(usize, usize)> = (0..ds.n_users)
+            .flat_map(|u| (0..ds.n_items).step_by(7).map(move |i| (u, i)))
+            .collect();
+        let est = head.predict_pairs(&grid);
+        let tru: Vec<f64> = grid
+            .iter()
+            .map(|&(u, i)| truth.propensity_x.get(u, i))
+            .collect();
         let corr = pearson(&est, &tru);
         assert!(corr > 0.5, "correlation {corr}");
     }
@@ -240,8 +247,8 @@ mod tests {
             },
         );
         let head = NaiveBayesAdapter::fit(&ds, 1e-4);
-        let p1 = head.propensity(0, 0, 1.0);
-        let p0 = head.propensity(0, 0, 0.0);
+        let p = head.propensity(&[0, 0], &[0, 0], &[1.0, 0.0]);
+        let (p1, p0) = (p[0], p[1]);
         assert!(
             p1 > 2.0 * p0,
             "NB should see higher propensity for positives: {p1} vs {p0}"

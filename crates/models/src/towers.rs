@@ -14,12 +14,11 @@
 
 use std::rc::Rc;
 
-use dt_autograd::{Graph, Params, Var};
+use dt_autograd::{Graph, ParamId, Params, Var};
 use dt_stats::expit;
 use dt_tensor::SplitMix64;
 
-use crate::embedding::EmbeddingTable;
-use crate::mlp::{Activation, Mlp};
+use crate::mlp::Mlp;
 
 /// Configuration of a [`TowerModel`].
 #[derive(Debug, Clone, Copy)]
@@ -32,40 +31,36 @@ pub struct TowerConfig {
     pub with_imputation: bool,
 }
 
-impl Default for TowerConfig {
-    fn default() -> Self {
-        Self {
-            emb_dim: 8,
-            hidden: 16,
-            with_imputation: false,
-        }
-    }
-}
-
 /// The shared-embedding multi-tower model.
 pub struct TowerModel {
     /// The parameter store (embeddings + all towers).
     pub params: Params,
-    user_emb: EmbeddingTable,
-    item_emb: EmbeddingTable,
+    user_emb: ParamId,
+    item_emb: ParamId,
     ctr: Mlp,
     cvr: Mlp,
     imputation: Option<Mlp>,
 }
 
 impl TowerModel {
-    /// A fresh model.
+    /// A fresh model with `N(0, 0.1²)` embeddings and Xavier towers.
     #[must_use]
     pub fn new(n_users: usize, n_items: usize, cfg: &TowerConfig, rng: &mut SplitMix64) -> Self {
         let mut params = Params::new();
-        let user_emb = EmbeddingTable::new(&mut params, "user_emb", n_users, cfg.emb_dim, 0.1, rng);
-        let item_emb = EmbeddingTable::new(&mut params, "item_emb", n_items, cfg.emb_dim, 0.1, rng);
+        let user_emb = params.add(
+            "user_emb",
+            dt_tensor::normal(n_users, cfg.emb_dim, 0.0, 0.1, rng),
+        );
+        let item_emb = params.add(
+            "item_emb",
+            dt_tensor::normal(n_items, cfg.emb_dim, 0.0, 0.1, rng),
+        );
         let sizes = [2 * cfg.emb_dim, cfg.hidden, 1];
-        let ctr = Mlp::new(&mut params, "ctr", &sizes, Activation::Tanh, rng);
-        let cvr = Mlp::new(&mut params, "cvr", &sizes, Activation::Tanh, rng);
+        let ctr = Mlp::new(&mut params, "ctr", &sizes, rng);
+        let cvr = Mlp::new(&mut params, "cvr", &sizes, rng);
         let imputation = cfg
             .with_imputation
-            .then(|| Mlp::new(&mut params, "imp", &sizes, Activation::Tanh, rng));
+            .then(|| Mlp::new(&mut params, "imp", &sizes, rng));
         Self {
             params,
             user_emb,
@@ -82,22 +77,25 @@ impl TowerModel {
         self.params.n_scalars()
     }
 
-    /// The concatenated pair embedding `[eᵤ | eᵢ]` for a batch.
-    fn pair_embedding(&self, g: &mut Graph, users: &[usize], items: &[usize]) -> Var {
+    /// The concatenated pair embedding `[eᵤ | eᵢ]` over `Rc`-shared index
+    /// lists.
+    fn pair_embedding(&self, g: &mut Graph, users: &Rc<Vec<usize>>, items: &Rc<Vec<usize>>) -> Var {
         assert_eq!(users.len(), items.len(), "pair_embedding: batch mismatch");
-        let eu = self.user_emb.lookup(g, &self.params, users);
-        let ei = self.item_emb.lookup(g, &self.params, items);
+        let ue = g.param(&self.params, self.user_emb);
+        let eu = g.gather(ue, Rc::clone(users));
+        let ie = g.param(&self.params, self.item_emb);
+        let ei = g.gather(ie, Rc::clone(items));
         g.concat_cols(eu, ei)
     }
 
     /// CTR (propensity) logits.
-    pub fn ctr_logits(&self, g: &mut Graph, users: &[usize], items: &[usize]) -> Var {
+    pub fn ctr_logits(&self, g: &mut Graph, users: &Rc<Vec<usize>>, items: &Rc<Vec<usize>>) -> Var {
         let x = self.pair_embedding(g, users, items);
         self.ctr.forward(g, &self.params, x)
     }
 
     /// CVR (rating) logits.
-    pub fn cvr_logits(&self, g: &mut Graph, users: &[usize], items: &[usize]) -> Var {
+    pub fn cvr_logits(&self, g: &mut Graph, users: &Rc<Vec<usize>>, items: &Rc<Vec<usize>>) -> Var {
         let x = self.pair_embedding(g, users, items);
         self.cvr.forward(g, &self.params, x)
     }
@@ -106,7 +104,12 @@ impl TowerModel {
     ///
     /// # Panics
     /// Panics when the model was built without an imputation tower.
-    pub fn imputation_out(&self, g: &mut Graph, users: &[usize], items: &[usize]) -> Var {
+    pub fn imputation_out(
+        &self,
+        g: &mut Graph,
+        users: &Rc<Vec<usize>>,
+        items: &Rc<Vec<usize>>,
+    ) -> Var {
         let imp = self
             .imputation
             .as_ref()
@@ -114,12 +117,6 @@ impl TowerModel {
             .expect("imputation tower not configured");
         let x = self.pair_embedding(g, users, items);
         imp.forward(g, &self.params, x)
-    }
-
-    /// Returns `true` when the imputation tower exists.
-    #[must_use]
-    pub fn has_imputation(&self) -> bool {
-        self.imputation.is_some()
     }
 
     /// Fast inference: CVR probability for a batch of pairs.
@@ -138,14 +135,10 @@ impl TowerModel {
         if pairs.is_empty() {
             return Vec::new();
         }
-        let users: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-        let items: Vec<usize> = pairs.iter().map(|p| p.1).collect();
+        let users = Rc::new(pairs.iter().map(|p| p.0).collect());
+        let items = Rc::new(pairs.iter().map(|p| p.1).collect());
         let mut g = Graph::new();
-        let ue = g.param(&self.params, self.user_emb.id());
-        let eu = g.gather(ue, Rc::new(users));
-        let ie = g.param(&self.params, self.item_emb.id());
-        let ei = g.gather(ie, Rc::new(items));
-        let x = g.concat_cols(eu, ei);
+        let x = self.pair_embedding(&mut g, &users, &items);
         let logits = tower.forward(&mut g, &self.params, x);
         g.value(logits).data().iter().map(|&z| expit(z)).collect()
     }
@@ -154,7 +147,6 @@ impl TowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_tensor::SplitMix64;
 
     fn model(with_imp: bool) -> TowerModel {
         let mut rng = SplitMix64(5);
@@ -191,7 +183,7 @@ mod tests {
     fn graph_and_fast_paths_agree() {
         let m = model(true);
         let mut g = Graph::new();
-        let l = m.cvr_logits(&mut g, &[2], &[3]);
+        let l = m.cvr_logits(&mut g, &Rc::new(vec![2]), &Rc::new(vec![3]));
         let fast = m.predict_cvr(&[(2, 3)]);
         assert!((expit(g.value(l).item()) - fast[0]).abs() < 1e-12);
     }
@@ -207,6 +199,6 @@ mod tests {
     fn missing_imputation_tower_panics() {
         let m = model(false);
         let mut g = Graph::new();
-        let _ = m.imputation_out(&mut g, &[0], &[0]);
+        let _ = m.imputation_out(&mut g, &Rc::new(vec![0]), &Rc::new(vec![0]));
     }
 }

@@ -131,16 +131,15 @@ fn dt_propensity_correlates_with_the_mnar_propensity_better_than_mar_head() {
     ips.fit(&ds, &mut rng);
 
     // Correlation against the true MNAR propensity over a grid.
-    let mut dt_est = Vec::new();
-    let mut ips_est = Vec::new();
-    let mut oracle = Vec::new();
-    for u in 0..ds.n_users {
-        for i in (0..ds.n_items).step_by(3) {
-            dt_est.push(dt.propensity(u, i).unwrap());
-            ips_est.push(ips.propensity(u, i).unwrap());
-            oracle.push(truth.propensity_xr.get(u, i));
-        }
-    }
+    let grid: Vec<(usize, usize)> = (0..ds.n_users)
+        .flat_map(|u| (0..ds.n_items).step_by(3).map(move |i| (u, i)))
+        .collect();
+    let dt_est = dt.propensity(&grid).unwrap();
+    let ips_est = ips.propensity(&grid).unwrap();
+    let oracle: Vec<f64> = grid
+        .iter()
+        .map(|&(u, i)| truth.propensity_xr.get(u, i))
+        .collect();
     let dt_corr = pearson(&dt_est, &oracle);
     let ips_corr = pearson(&ips_est, &oracle);
     assert!(

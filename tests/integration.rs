@@ -43,7 +43,7 @@ fn full_pipeline_runs_for_representative_methods() {
         let mut rng = SplitMix64(0);
         let fit = model.fit(&ds, &mut rng);
         assert!(fit.final_loss.is_finite(), "{}", model.name());
-        assert_eq!(fit.loss_trace.len(), fit.epochs_run);
+        assert_eq!(fit.loss_trace.len(), quick_cfg().epochs);
         assert!(fit.train_seconds > 0.0);
 
         let eval = evaluate(model.as_ref(), &ds, 5);
@@ -133,11 +133,11 @@ fn propensity_reporting_methods_expose_probabilities() {
         let mut model = registry::build(method, &ds, &quick_cfg(), 0);
         let mut rng = SplitMix64(0);
         model.fit(&ds, &mut rng);
-        let p = model.propensity(3, 4);
+        let p = model.propensity(&[(3, 4)]);
         let p = p.unwrap_or_else(|| panic!("{} should expose propensities", model.name()));
-        assert!(p > 0.0 && p <= 1.0, "{}: {p}", model.name());
+        assert!(p[0] > 0.0 && p[0] <= 1.0, "{}: {p:?}", model.name());
     }
     // Pure outcome models expose none.
     let mf = registry::build(Method::Mf, &ds, &quick_cfg(), 0);
-    assert!(mf.propensity(0, 0).is_none());
+    assert!(mf.propensity(&[(0, 0)]).is_none());
 }

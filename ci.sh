@@ -79,7 +79,7 @@ for t in 1 2 8; do
     DT_NUM_THREADS=$t timeout "$TEST_TIMEOUT" cargo test -q "${WIDTH_SUITES[@]}"
     echo "==> cargo test -p dt-core --test method_zoo_props (DT_NUM_THREADS=$t)"
     DT_NUM_THREADS=$t timeout "$TEST_TIMEOUT" cargo test -q -p dt-core --test method_zoo_props
-    for report in kernels train_step serve ann quant load; do
+    for report in kernels train_step ann quant load; do
         echo "==> dt-bench $report --smoke (DT_NUM_THREADS=$t)"
         DT_NUM_THREADS=$t timeout "$TEST_TIMEOUT" cargo run -q -p dt-bench --release -- "$report" --smoke
     done
@@ -92,7 +92,7 @@ done
 # the wide-vs-portable tests, the allocator count, the run fold's
 # properties, the column-view oracle) run once more against it, with the
 # pool's tests (the poll-then-park hand-off's atomics) and the optimizer
-# suite (the pool-split dense Adam pass, the dense-equivalence oracles).
+# suite (the pool-split dense Adam pass, the lazy-vs-dense Adam oracle).
 echo "==> cargo test --release -p dt-tensor -p dt-autograd -p dt-parallel -p dt-optim"
 cargo test --release -q -p dt-tensor -p dt-autograd -p dt-parallel -p dt-optim --no-run
 timeout "$TEST_TIMEOUT" cargo test --release -q -p dt-tensor -p dt-autograd -p dt-parallel -p dt-optim

@@ -384,23 +384,6 @@ impl Graph {
         )
     }
 
-    /// Fused `mean(weights ⊙ bce_with_logits(logits, targets))` — the
-    /// IPS-weighted rating loss with the propensity weights folded into the
-    /// same single pass. Weights are typically constants or detached.
-    ///
-    /// Bit-identical to `bce_with_logits` + `weighted_mean`.
-    pub fn ips_weighted_bce_mean(&mut self, weights: Var, logits: Var, targets: Var) -> Var {
-        let (loss, residual) = dt_tensor::fused::ips_weighted_bce(
-            self.value(weights),
-            self.value(logits),
-            self.value(targets),
-        );
-        self.push(
-            Op::IpsWeightedBceMean(weights, logits, targets, Rc::new(residual)),
-            Tensor::scalar(loss),
-        )
-    }
-
     // -- backward ------------------------------------------------------------------------------
 
     /// Reverse sweep from the scalar `loss`; gradients of parameter leaves
@@ -796,23 +779,6 @@ impl Graph {
                     self.acc(grads, t, dt);
                 }
             }
-            IpsWeightedBceMean(w, x, t, r) => {
-                let c = g.item() / r.len() as f64;
-                let dx = dt_tensor::fused::ips_weighted_bce_backward(&r, val(w), c);
-                self.acc(grads, x, dx);
-                if self.wants_grad(t) {
-                    let dt = val(x).zip_map(val(w), |xv, wv| -xv * (c * wv));
-                    self.acc(grads, t, dt);
-                }
-                if self.wants_grad(w) {
-                    // dL/dw_i = c · bce_i; recomputed on demand — the
-                    // weights are detached/constant in every trainer, so
-                    // this only runs in gradient-check style tests.
-                    let dw =
-                        val(x).zip_map(val(t), |xv, tv| c * dt_tensor::fused::bce_term(xv, tv));
-                    self.acc(grads, w, dw);
-                }
-            }
         }
     }
 }
@@ -826,13 +792,10 @@ impl Drop for Graph {
     /// `opt.step`" now also hands the step's working set back for reuse.
     fn drop(&mut self) {
         for node in self.nodes.drain(..) {
-            match node.op {
-                Op::SigmoidBceMean(_, _, r) | Op::IpsWeightedBceMean(_, _, _, r) => {
-                    if let Ok(t) = Rc::try_unwrap(r) {
-                        t.recycle();
-                    }
+            if let Op::SigmoidBceMean(_, _, r) = node.op {
+                if let Ok(t) = Rc::try_unwrap(r) {
+                    t.recycle();
                 }
-                _ => {}
             }
             match node.value {
                 Value::Tensor(t) => {

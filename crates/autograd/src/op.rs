@@ -87,24 +87,20 @@ pub(crate) enum Op {
     /// pass; the cached tensor is the backward residual `σ(x) − t` (one
     /// pooled buffer, recycled when the tape drops).
     SigmoidBceMean(Var, Var, Rc<Tensor>),
-    /// Fused IPS-weighted mean BCE `mean(w ⊙ bce_with_logits(x, t))` with
-    /// the weights folded into the same pass; fields are `(w, x, t,
-    /// residual)` with the same cached residual `σ(x) − t`.
-    IpsWeightedBceMean(Var, Var, Var, Rc<Tensor>),
 }
 
 /// The input variables of one [`Op`], stored inline. `inputs()` runs for
 /// every node pushed onto the tape, so it must not heap-allocate (R10);
-/// no op has more than three inputs. Dereferences to `&[Var]`.
+/// no op has more than two inputs. Dereferences to `&[Var]`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Inputs {
-    vars: [Var; 3],
+    vars: [Var; 2],
     len: usize,
 }
 
 impl Inputs {
     const EMPTY: Inputs = Inputs {
-        vars: [Var::PAD; 3],
+        vars: [Var::PAD; 2],
         len: 0,
     };
 
@@ -144,7 +140,6 @@ impl Op {
             | AddRowBroadcast(a, b)
             | BceWithLogits(a, b)
             | SigmoidBceMean(a, b, _) => Inputs::of(&[*a, *b]),
-            IpsWeightedBceMean(w, x, t, _) => Inputs::of(&[*w, *x, *t]),
             Neg(a)
             | MulScalar(a, _)
             | Sigmoid(a)

@@ -129,16 +129,6 @@ impl Params {
         self.entries[id.0].grad.accumulate_run(run);
     }
 
-    /// Converts every accumulator to its dense representation (used by the
-    /// dense-oracle tests and benchmarks; trainers never need this).
-    pub fn densify_grads(&mut self) {
-        for e in &mut self.entries {
-            if let Grad::RowSparse(s) = &e.grad {
-                e.grad = Grad::Dense(s.to_dense());
-            }
-        }
-    }
-
     /// Resets every gradient accumulator to the empty row-sparse state
     /// (call between optimizer steps). `O(1)` per parameter — no
     /// full-table wipe.
@@ -206,16 +196,6 @@ mod tests {
         assert_eq!(p.grad(a).to_dense().row(1), &[2.0, 2.0]);
         assert_eq!(p.grad(a).to_dense().row(0), &[0.0, 0.0]);
         assert_eq!(p.grad(a).frob_sq(), 16.0);
-    }
-
-    #[test]
-    fn densify_grads_preserves_values() {
-        let mut p = Params::new();
-        let a = p.add("a", Tensor::zeros(3, 1));
-        p.accumulate_grad_rows(a, RowSparse::from_scatter(3, 1, &[2], &Tensor::scalar(5.0)));
-        p.densify_grads();
-        assert!(p.grad(a).is_dense());
-        assert_eq!(p.grad(a).to_dense().data(), &[0.0, 0.0, 5.0]);
     }
 
     #[test]

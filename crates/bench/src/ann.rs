@@ -121,7 +121,7 @@ impl AnnMeasurement {
 /// The frontier sweep (module docs) over the given catalog sizes, IVF
 /// cell counts and pool widths. The artefact runs `ms = [10⁴, 10⁵,
 /// 10⁶]`, `nlists = [64, 256, 1024]` at every
-/// [`crate::serve::SWEEP_WIDTHS`] width; slow at `M = 10⁶`.
+/// [`crate::report::SWEEP_WIDTHS`] width; slow at `M = 10⁶`.
 #[must_use]
 pub fn run_measurements(ms: &[usize], nlists: &[usize], widths: &[usize]) -> Vec<AnnMeasurement> {
     let (n_users, dim, n_query) = (2048usize, 32usize, 16usize);
@@ -310,7 +310,7 @@ pub fn write(path: &Path, smoke: bool) -> std::io::Result<()> {
         run_measurements(
             &[10_000, 100_000, 1_000_000],
             &[64, 256, 1024],
-            &crate::serve::SWEEP_WIDTHS,
+            &crate::report::SWEEP_WIDTHS,
         )
     };
     crate::report::write_report(path, &render_report(&results), &results, |r| {

@@ -4,15 +4,14 @@
 //! artefacts, one module per report, all run through one bin:
 //!
 //! ```text
-//! cargo run -p dt-bench --release -- <kernels|train_step|serve|ann|quant|load> [--smoke] [path]
+//! cargo run -p dt-bench --release -- <kernels|train_step|ann|quant|load> [--smoke] [path]
 //! ```
 //!
 //! * [`kernels`] — naive vs blocked vs parallel GEMM at the paper's
 //!   tall-skinny shapes (`BENCH_kernels.json`).
-//! * [`train_step`] — one DT-IPS-shaped training step, dense vs row-sparse
-//!   vs pooled + fused (`BENCH_train_step.json`).
-//! * [`serve`] — batched full-catalog top-K retrieval, full sort vs
-//!   partial selection, per pool width (`BENCH_serve.json`).
+//! * [`train_step`] — one DT-IPS training step on the trainers' losses,
+//!   without and with the full-table DT penalties
+//!   (`BENCH_train_step.json`).
 //! * [`ann`] — the IVF recall/latency frontier against the block-GEMM
 //!   reference and the fused f64 scan (`BENCH_ann.json`).
 //! * [`quant`] — mixed-precision scoring panels, the
@@ -34,7 +33,6 @@ pub mod kernels;
 pub mod load;
 pub mod quant;
 pub mod report;
-pub mod serve;
 pub mod train_step;
 
 /// Serializes every test of this crate that touches the `dt-tensor`

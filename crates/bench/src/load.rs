@@ -1,7 +1,7 @@
 //! Load-replay report: the serving stack under sustained concurrent
 //! traffic, for `BENCH_load.json` (schema `dt-bench/load/v2`).
 //!
-//! Where `BENCH_serve`/`ann`/`quant` time one query batch in isolation,
+//! Where `BENCH_ann`/`quant` time one query batch in isolation,
 //! this report drives the [`dt_load`] harness end to end: Zipf-popular
 //! users offered as a Poisson process by generator threads, a bounded
 //! admission queue under the shed policy, max-batch/max-delay batching
@@ -14,7 +14,7 @@
 //! alloc probe (post-warm-up [`dt_tensor::pool::stats`] fresh-alloc
 //! delta per dispatched batch — zero for every arm).
 //!
-//! The sweep covers intra-query width ([`crate::serve::SWEEP_WIDTHS`],
+//! The sweep covers intra-query width ([`crate::report::SWEEP_WIDTHS`],
 //! forced per dispatch through `dt_parallel::with_thread_limit` inside
 //! the workers) × engine arm × offered load (an underload and an
 //! overload point) × batching policy (single-query vs coalescing) ×
@@ -145,7 +145,7 @@ pub fn run_measurements(
     warmup: Duration,
     duration: Duration,
 ) -> Vec<LoadMeasurement> {
-    let index = crate::serve::build_index(N_USERS, m, DIM, 0x10AD ^ m as u64);
+    let index = crate::report::build_index(N_USERS, m, DIM, 0x10AD ^ m as u64);
     let nlist = (m / 400).clamp(16, 256);
     let ivf = IvfIndex::build(
         &index,
@@ -336,7 +336,7 @@ pub fn write(path: &Path, smoke: bool) -> std::io::Result<()> {
     } else {
         run_measurements(
             100_000,
-            &crate::serve::SWEEP_WIDTHS,
+            &crate::report::SWEEP_WIDTHS,
             &[400.0, 4_000.0],
             // Latency-optimal single-query dispatch vs coalescing
             // max-batch-64 / max-delay-2 ms.

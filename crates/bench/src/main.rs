@@ -1,6 +1,6 @@
 //! Regenerates one bench artefact.
 //!
-//! Usage: `dt-bench <kernels|train_step|serve|ann|quant|load> [--smoke]
+//! Usage: `dt-bench <kernels|train_step|ann|quant|load> [--smoke]
 //! [output-path]`. The default output is `BENCH_<report>.json` at the
 //! repo root, resolved relative to this crate. `--smoke` runs the
 //! report's tiny sweep and defaults the output to a scratch file under
@@ -9,8 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
-const USAGE: &str =
-    "usage: dt-bench <kernels|train_step|serve|ann|quant|load> [--smoke] [output-path]";
+const USAGE: &str = "usage: dt-bench <kernels|train_step|ann|quant|load> [--smoke] [output-path]";
 
 fn main() {
     let mut smoke = false;
@@ -33,7 +32,6 @@ fn main() {
     let write: fn(&Path, bool) -> std::io::Result<()> = match report.as_str() {
         "kernels" => dt_bench::kernels::write,
         "train_step" => dt_bench::train_step::write,
-        "serve" => dt_bench::serve::write,
         "ann" => dt_bench::ann::write,
         "quant" => dt_bench::quant::write,
         "load" => dt_bench::load::write,

@@ -8,7 +8,7 @@
 //! same index at every [`dt_serve::PanelDtype`] — `f64` (a verbatim copy,
 //! so its rows double as a bit-identity check on the quantized engine)
 //! and `f32`. The sweep covers `M ∈ {10⁴, 10⁵, 10⁶}` × `K ∈ {10, 50}`
-//! at the pool widths in [`crate::serve::SWEEP_WIDTHS`] (forced
+//! at the pool widths in [`crate::report::SWEEP_WIDTHS`] (forced
 //! in-process through `dt_parallel::with_thread_limit`; every row
 //! records the host's true hardware width so oversubscribed rows are
 //! self-describing).
@@ -275,7 +275,7 @@ pub fn render_report(results: &[QuantMeasurement]) -> String {
 }
 
 /// Runs the sweep and writes the report to `path`: the artefact's
-/// frontier at every [`crate::serve::SWEEP_WIDTHS`] width, or with
+/// frontier at every [`crate::report::SWEEP_WIDTHS`] width, or with
 /// `smoke` `M = 10⁴` at the ambient pool width — every dtype arm and the
 /// f64 bit-identity assert in seconds.
 ///
@@ -285,7 +285,7 @@ pub fn write(path: &Path, smoke: bool) -> std::io::Result<()> {
     let results = if smoke {
         run_measurements(&[10_000], &[dt_parallel::num_threads()])
     } else {
-        run_measurements(&[10_000, 100_000, 1_000_000], &crate::serve::SWEEP_WIDTHS)
+        run_measurements(&[10_000, 100_000, 1_000_000], &crate::report::SWEEP_WIDTHS)
     };
     crate::report::write_report(path, &render_report(&results), &results, |r| {
         format!(

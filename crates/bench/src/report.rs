@@ -1,14 +1,15 @@
 //! The one bench harness every report shares: the JSON header, a
 //! best-of-N wall timer, the `pool::stats` fresh-alloc probe, the
-//! xorshift64* input generator, and the writer with its default output
-//! paths. The emitters (`kernels`, `train_step`, `serve`, `ann`, `quant`,
-//! `load`) keep only their sweeps, row structs and schemas. The JSON is
-//! written by hand.
+//! xorshift64* input generator, the serving reports' random index and
+//! pool widths, and the writer with its default output paths. The
+//! emitters (`kernels`, `train_step`, `ann`, `quant`, `load`) keep only
+//! their sweeps, row structs and schemas. The JSON is written by hand.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use dt_serve::ScoringIndex;
 use dt_tensor::{pool, Tensor};
 
 /// Short git revision of the working tree (`git rev-parse --short HEAD`),
@@ -138,6 +139,20 @@ impl XorShift {
     }
 }
 
+/// A serving index over random panels at one catalog size.
+#[must_use]
+pub fn build_index(n_users: usize, n_items: usize, dim: usize, seed: u64) -> ScoringIndex {
+    let filled = |rows, cols, seed| XorShift::new(seed).filled(rows, cols);
+    let p = filled(n_users, dim, seed ^ 0x9E37_79B9);
+    let q = filled(n_items, dim, seed ^ 0xBF58_476D);
+    let ub = filled(n_users, 1, seed ^ 0x94D0_49BB).data().to_vec();
+    let ib = filled(n_items, 1, seed ^ 0xD6E8_FEB8).data().to_vec();
+    ScoringIndex::new(p, q, ub, ib, 0.1)
+}
+
+/// The pool widths the ann, quant and load artefacts sweep.
+pub const SWEEP_WIDTHS: [usize; 3] = [1, 2, 8];
+
 /// Where a report goes when the command line names no path:
 /// `BENCH_<report>.json` at the repo root (resolved at compile time from
 /// this crate's manifest dir, so the bin runs from any cwd), or for a
@@ -199,11 +214,11 @@ mod tests {
 
     #[test]
     fn default_paths_split_committed_and_smoke_output() {
-        let full = default_path("serve", false);
-        assert!(full.ends_with("../../BENCH_serve.json"), "{full:?}");
+        let full = default_path("quant", false);
+        assert!(full.ends_with("../../BENCH_quant.json"), "{full:?}");
         assert!(full.starts_with(env!("CARGO_MANIFEST_DIR")));
-        let smoke = default_path("serve", true);
-        assert_eq!(smoke, std::env::temp_dir().join("BENCH_serve_smoke.json"));
+        let smoke = default_path("quant", true);
+        assert_eq!(smoke, std::env::temp_dir().join("BENCH_quant_smoke.json"));
     }
 
     #[test]

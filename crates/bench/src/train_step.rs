@@ -1,68 +1,40 @@
-//! Training-step report: dense vs row-sparse vs pooled+fused step, and
-//! the DT step with its full-table penalties, for `BENCH_train_step.json`.
+//! Training-step report: the DT-IPS step with and without its full-table
+//! penalties, for `BENCH_train_step.json`.
 //!
-//! The acceptance artefact for the row-sparse gradient work (PR 3) and the
-//! buffer-pool + fused-kernel work is a single machine-readable file timing
-//! one DT-IPS-shaped training step — a propensity update on a `4B` uniform
-//! batch followed by an IPS-weighted rating update on a `B` observed batch,
-//! both through embedding gathers over `M×K` tables and an Adam step — in
-//! four configurations:
+//! One step records the losses the trainers record over `M×K` embedding
+//! tables, on one tape, and hands it to [`Optimizer::minimize`] (backward,
+//! one Adam step, zeroed gradients):
 //!
-//! * **dense** — `Params::densify_grads` plus `GradMode::DenseEquivalent`
-//!   (the pre-row-sparse behaviour, `O(M·K)` per step);
-//! * **sparse** — row-sparse gradients + lazy Adam with the buffer pool
-//!   disabled and the composed-op losses (the PR 3 step, reproduced
-//!   in-process via [`dt_tensor::pool::with_disabled`]);
-//! * **pooled** — the same sparse path with the step-scoped buffer pool on
-//!   and the fused `sigmoid_bce` / `ips_weighted_bce` kernels;
-//! * **dt** — the pooled step plus the two penalties `DtRecommender::fit`
+//! * the rating loss on a `B` observed batch, as `DtRecommender::fit` and
+//!   `IpsRecommender` record it: `sigmoid` → `squared_error` →
+//!   `weighted_mean`, weighted by the clipped inverse propensities, read
+//!   off the propensity tables before the tape is built and mounted as a
+//!   constant, so no gradient reaches the propensity tables through them;
+//! * the propensity loss, `bce_mean` over a `4B` uniform batch.
+//!
+//! Two arms:
+//!
+//! * **ips** — the two losses alone. Every gradient is row-sparse, so the
+//!   step is batch-bound;
+//! * **dt** — the same step plus the two penalties `DtRecommender::fit`
 //!   adds on every DT-IPS step, over the whole rating tables through
 //!   `slice_cols` (see [`dt_penalties`]). Their gradients are dense, so
-//!   this is the step the paper actually trains: `O(M·K²)` per step, not
-//!   batch-bound.
+//!   this is the step the paper actually trains: `O(M·K²)` per step.
 //!
 //! Alongside wall times the report carries `allocs_per_step`: the per-step
 //! count of buffers drawn from the global allocator, read off the
 //! [`dt_tensor::pool::stats`] counters (every tape/kernel buffer routes
-//! through the pooled constructors, so the counter sees both arms). The
-//! timer, alloc probe and generator are the shared [`crate::report`]
-//! harness.
+//! through the pooled constructors). The timer, alloc probe and generator
+//! are the shared [`crate::report`] harness.
 
 use std::path::Path;
 use std::rc::Rc;
 
 use dt_autograd::{Graph, ParamId, Params, Var};
-use dt_optim::{Adam, GradMode, Optimizer};
-use dt_tensor::{pool, Tensor};
+use dt_optim::{Adam, Optimizer};
+use dt_tensor::Tensor;
 
 use crate::report::{fresh_allocs_per, time_ms, XorShift};
-
-/// Which step implementation a [`TrainBench`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepMode {
-    /// Legacy full-table gradients: `Params::densify_grads` +
-    /// [`GradMode::DenseEquivalent`]; pool off, composed-op losses.
-    Dense,
-    /// Row-sparse gradients + lazy Adam with the buffer pool disabled and
-    /// the composed-op losses — the PR 3 step, bit-identical to `Pooled`.
-    Sparse,
-    /// Row-sparse gradients + lazy Adam with the step-scoped buffer pool
-    /// and the fused BCE kernels (the default production path).
-    Pooled,
-    /// [`StepMode::Pooled`] plus the DT penalties over the full rating
-    /// tables ([`dt_penalties`]): the DT-IPS step of `DtRecommender::fit`.
-    Dt,
-}
-
-impl StepMode {
-    fn dense(self) -> bool {
-        self == StepMode::Dense
-    }
-
-    fn pooled(self) -> bool {
-        matches!(self, StepMode::Pooled | StepMode::Dt)
-    }
-}
 
 /// Penalty weights of the `dt` arm (`β`, `γ`), as the repository
 /// benchmark's DT-IPS step sets them.
@@ -77,8 +49,8 @@ fn primary_dim(k: usize) -> usize {
 
 /// The two embedding-backed models a DT-IPS step trains: a rating MF and a
 /// propensity MF, each `M×K` per side, sharing one parameter store so a
-/// single optimizer sweep covers the whole step (the shape that matters for
-/// the dense-vs-sparse comparison; per-model stores only change bookkeeping).
+/// single optimizer sweep covers the whole step (per-model stores only
+/// change bookkeeping).
 struct DtIpsModel {
     params: Params,
     user: ParamId,
@@ -204,94 +176,75 @@ fn dt_penalties(g: &mut Graph, model: &DtIpsModel) -> Var {
 }
 
 /// A reusable training loop at one `(M, K, B)` scale: fresh model, fresh
-/// optimizer, a rotating pool of pre-drawn batches, one [`StepMode`].
+/// optimizer, a rotating pool of pre-drawn batches, one arm.
 pub struct TrainBench {
     model: DtIpsModel,
     opt: Adam,
-    mode: StepMode,
+    /// The `dt` arm: add [`dt_penalties`] to the loss.
+    penalties: bool,
     batches: Vec<StepBatch>,
     next: usize,
 }
 
 impl TrainBench {
-    /// Builds the harness for one step configuration.
+    /// The `ips` arm: the rating and propensity losses alone.
     #[must_use]
-    pub fn new(m: usize, k: usize, b: usize, mode: StepMode) -> Self {
-        let grad_mode = if mode.dense() {
-            GradMode::DenseEquivalent
-        } else {
-            GradMode::Lazy
-        };
+    pub fn ips(m: usize, k: usize, b: usize) -> Self {
+        Self::new(m, k, b, false)
+    }
+
+    /// The `dt` arm: the `ips` step plus the DT penalties over the full
+    /// rating tables.
+    #[must_use]
+    pub fn dt(m: usize, k: usize, b: usize) -> Self {
+        Self::new(m, k, b, true)
+    }
+
+    fn new(m: usize, k: usize, b: usize, penalties: bool) -> Self {
         Self {
             model: DtIpsModel::new(m, k, 0x9E37_79B9_7F4A_7C15 ^ m as u64),
-            opt: Adam::new(0.01).with_grad_mode(grad_mode),
-            mode,
+            opt: Adam::new(0.01),
+            penalties,
             batches: make_batches(m, b, 8, 0xD6E8_FEB8_7F4A_7C15 ^ m as u64),
             next: 0,
         }
     }
 
-    /// Runs one DT-IPS-shaped training step: propensity BCE on the uniform
-    /// batch, IPS-weighted rating BCE on the observed batch (plus the DT
-    /// penalties in [`StepMode::Dt`]), one Adam step. The dense and sparse
-    /// modes run with the buffer pool disabled so the arms are directly
-    /// comparable in one process.
+    /// Runs one DT-IPS training step: the IPS-weighted squared error on
+    /// the observed batch plus the propensity BCE on the uniform batch
+    /// (plus the DT penalties in the `dt` arm), minimised in one Adam step.
     pub fn step(&mut self) {
-        if self.mode.pooled() {
-            self.step_inner();
-        } else {
-            pool::with_disabled(|| self.step_inner());
-        }
-    }
-
-    fn step_inner(&mut self) {
         let batch = &self.batches[self.next % self.batches.len()];
         self.next += 1;
         let model = &mut self.model;
-        let fused = self.mode.pooled();
-
-        let mut g = Graph::new();
-        let put = g.param(&model.params, model.p_user);
-        let pu = g.gather(put, Rc::clone(&batch.ub_users));
-        let pit = g.param(&model.params, model.p_item);
-        let pi = g.gather(pit, Rc::clone(&batch.ub_items));
-        let logits = g.row_dot(pu, pi);
-        let obs = g.constant(batch.obs.clone());
-        let loss = if fused {
-            g.sigmoid_bce_mean(logits, obs)
-        } else {
-            g.bce_mean_composed(logits, obs)
-        };
-        g.backward(loss, &mut model.params);
-        drop(g); // release the tape's table Rcs so the step mutates in place
-
         let w = ips_weights(&model.params, model.p_user, model.p_item, batch);
+
         let mut g = Graph::new();
         let ut = g.param(&model.params, model.user);
         let eu = g.gather(ut, Rc::clone(&batch.users));
         let it = g.param(&model.params, model.item);
         let ei = g.gather(it, Rc::clone(&batch.items));
         let logits = g.row_dot(eu, ei);
+        let pred = g.sigmoid(logits);
         let y = g.constant(batch.labels.clone());
+        let err = g.squared_error(pred, y);
         let wv = g.constant(w);
-        let mut loss = if fused {
-            g.ips_weighted_bce_mean(wv, logits, y)
-        } else {
-            let elem = g.bce_with_logits(logits, y);
-            g.weighted_mean(wv, elem)
-        };
-        if self.mode == StepMode::Dt {
+        let rating = g.weighted_mean(wv, err);
+
+        let put = g.param(&model.params, model.p_user);
+        let pu = g.gather(put, Rc::clone(&batch.ub_users));
+        let pit = g.param(&model.params, model.p_item);
+        let pi = g.gather(pit, Rc::clone(&batch.ub_items));
+        let prop_logits = g.row_dot(pu, pi);
+        let obs = g.constant(batch.obs.clone());
+        let prop = g.bce_mean(prop_logits, obs);
+
+        let mut loss = g.add(rating, prop);
+        if self.penalties {
             let penalties = dt_penalties(&mut g, model);
             loss = g.add(loss, penalties);
         }
-        g.backward(loss, &mut model.params);
-        drop(g);
-
-        if self.mode.dense() {
-            model.params.densify_grads();
-        }
-        self.opt.step(&mut model.params);
-        model.params.zero_grad();
+        self.opt.minimize(g, loss, &mut model.params);
     }
 
     /// All parameter tensors are finite (test hook).
@@ -316,35 +269,21 @@ impl TrainBench {
 }
 
 /// One table-height measurement. Times are the best-of-N per-step averages;
-/// alloc counts are exact per-step [`pool::stats`] deltas.
+/// alloc counts are exact per-step [`dt_tensor::pool::stats`] deltas.
 pub struct StepMeasurement {
     pub m: usize,
     pub k: usize,
     pub batch: usize,
-    pub dense_ms: f64,
-    pub sparse_ms: f64,
-    pub pooled_ms: f64,
+    pub ips_ms: f64,
     pub dt_ms: f64,
-    pub sparse_allocs_per_step: f64,
-    pub pooled_allocs_per_step: f64,
+    pub ips_allocs_per_step: f64,
     pub dt_allocs_per_step: f64,
 }
 
 impl StepMeasurement {
-    fn speedup_sparse(&self) -> f64 {
-        self.dense_ms / self.sparse_ms.max(1e-9)
-    }
-
-    fn speedup_pooled(&self) -> f64 {
-        self.sparse_ms / self.pooled_ms.max(1e-9)
-    }
-
-    /// Fraction of per-step allocator traffic the pool removed.
-    fn alloc_reduction(&self) -> f64 {
-        if self.sparse_allocs_per_step <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.pooled_allocs_per_step / self.sparse_allocs_per_step
+    /// What the full-table penalties cost: the `dt` step over the `ips` one.
+    fn dt_over_ips(&self) -> f64 {
+        self.dt_ms / self.ips_ms.max(1e-9)
     }
 }
 
@@ -369,9 +308,6 @@ fn time_steps(bench: &mut TrainBench, reps: usize, steps: usize) -> f64 {
 }
 
 /// Average fresh allocations per step over `steps` post-warm-up steps.
-/// The pooled constructors count misses whether or not the pool is
-/// enabled, so the same probe measures both the sparse (pool-off) and
-/// pooled arms.
 fn allocs_per_step(bench: &mut TrainBench, steps: usize) -> f64 {
     warm_up(bench);
     fresh_allocs_per(steps, |_| bench.step())
@@ -384,94 +320,69 @@ fn allocs_per_step(bench: &mut TrainBench, steps: usize) -> f64 {
 pub fn run_measurements(ms: &[usize], k: usize, b: usize) -> Vec<StepMeasurement> {
     ms.iter()
         .map(|&m| {
-            // Scale the dense arm's repetition so it stays tractable at
-            // M = 10⁶ (its step cost is O(M·K)); never a single cold run.
-            // The sparse/pooled arms are batch-bound and cheap at every M,
-            // so they always get a full 20-step sample.
-            let dense_steps = (200_000 / m).clamp(1, 20);
-            let light_steps = 20;
+            // The penalties make the dt step O(M·K²): scale its step count
+            // down so it stays tractable at M = 10⁶, never to a single
+            // cold run. The ips step is batch-bound and cheap at every M,
+            // so it always gets a full 20-step sample.
+            let dt_steps = (200_000 / m).clamp(1, 20);
+            let ips_steps = 20;
             let reps = if m >= 1_000_000 { 2 } else { 3 };
-            let dense_ms = time_steps(
-                &mut TrainBench::new(m, k, b, StepMode::Dense),
-                reps,
-                dense_steps,
-            );
             // Each arm's model is 4·M·K doubles; drop one bench before
             // building the next so the arms never run under the memory
             // pressure of a neighbour's live tables.
-            let mut sparse = TrainBench::new(m, k, b, StepMode::Sparse);
-            let sparse_ms = time_steps(&mut sparse, reps, light_steps);
-            let sparse_allocs_per_step = allocs_per_step(&mut sparse, light_steps);
-            drop(sparse);
-            let mut pooled = TrainBench::new(m, k, b, StepMode::Pooled);
-            let pooled_ms = time_steps(&mut pooled, reps, light_steps);
-            let pooled_allocs_per_step = allocs_per_step(&mut pooled, light_steps);
-            drop(pooled);
-            // The penalties make the DT step O(M·K²): it gets the dense
-            // arm's step count.
-            let mut dt = TrainBench::new(m, k, b, StepMode::Dt);
-            let dt_ms = time_steps(&mut dt, reps, dense_steps);
-            let dt_allocs_per_step = allocs_per_step(&mut dt, dense_steps);
+            let mut ips = TrainBench::ips(m, k, b);
+            let ips_ms = time_steps(&mut ips, reps, ips_steps);
+            let ips_allocs_per_step = allocs_per_step(&mut ips, ips_steps);
+            drop(ips);
+            let mut dt = TrainBench::dt(m, k, b);
+            let dt_ms = time_steps(&mut dt, reps, dt_steps);
+            let dt_allocs_per_step = allocs_per_step(&mut dt, dt_steps);
             StepMeasurement {
                 m,
                 k,
                 batch: b,
-                dense_ms,
-                sparse_ms,
-                pooled_ms,
+                ips_ms,
                 dt_ms,
-                sparse_allocs_per_step,
-                pooled_allocs_per_step,
+                ips_allocs_per_step,
                 dt_allocs_per_step,
             }
         })
         .collect()
 }
 
-/// Renders the report as JSON (schema `dt-bench/train_step/v3`).
+/// Renders the report as JSON (schema `dt-bench/train_step/v4`).
 #[must_use]
 pub fn render_report(results: &[StepMeasurement]) -> String {
     let header = crate::report::bench_header(
-        "dt-bench/train_step/v3",
-        "best-of-N per-step wall times for one DT-IPS-shaped \
-         training step (propensity BCE on a 4B uniform batch + IPS-weighted \
-         rating BCE on a B observed batch over M x K tables, one Adam step). \
-         dense = Params::densify_grads + GradMode::DenseEquivalent (the \
-         legacy full-table path); sparse = row-sparse gradients + lazy Adam \
-         with the buffer pool disabled and composed-op losses (the PR 3 \
-         step); pooled = sparse + step-scoped buffer pool + fused \
-         sigmoid-BCE kernels; dt = pooled + the DT penalties over the whole \
-         rating tables through slice_cols, beta * disentangle / M + gamma * \
-         regulariser / (M * N) with beta = gamma = 0.01 and a 3K/4 primary \
-         block (the step DtRecommender::fit trains; dense gradients, \
-         O(M * K^2)). allocs_per_step counts buffers drawn from the global \
-         allocator per step (dt_tensor::pool::stats).",
+        "dt-bench/train_step/v4",
+        "best-of-N per-step wall times for one DT-IPS training step over \
+         M x K tables, recorded on one tape as the trainers record it and \
+         minimised in one Adam step (Optimizer::minimize): the IPS-weighted \
+         squared error sigmoid -> squared_error -> weighted_mean on a B \
+         observed batch, weighted by the clipped inverse propensities (a \
+         constant), plus bce_mean on a 4B uniform batch. ips = those two \
+         losses (row-sparse gradients, lazy Adam; batch-bound); dt = ips + \
+         the DT penalties over the whole rating tables through slice_cols, \
+         beta * disentangle / M + gamma * regulariser / (M * N) with beta = \
+         gamma = 0.01 and a 3K/4 primary block (the step DtRecommender::fit \
+         trains; dense gradients, O(M * K^2)). dt_over_ips = dt_ms / ips_ms. \
+         allocs_per_step counts buffers drawn from the global allocator per \
+         step (dt_tensor::pool::stats).",
         Some(dt_parallel::num_threads()),
     );
     crate::report::with_results(header, results, |r| {
         format!(
             "\"m\": {}, \"k\": {}, \"batch\": {}, \
-             \"dense_ms\": {:.3}, \"sparse_ms\": {:.3}, \"pooled_ms\": {:.3}, \
-             \"dt_ms\": {:.3}, \
-             \"speedup_sparse_vs_dense\": {:.2}, \
-             \"speedup_pooled_vs_sparse\": {:.2}, \
-             \"sparse_allocs_per_step\": {:.1}, \
-             \"pooled_allocs_per_step\": {:.1}, \
-             \"dt_allocs_per_step\": {:.1}, \
-             \"alloc_reduction\": {:.3}",
+             \"ips_ms\": {:.3}, \"dt_ms\": {:.3}, \"dt_over_ips\": {:.1}, \
+             \"ips_allocs_per_step\": {:.1}, \"dt_allocs_per_step\": {:.1}",
             r.m,
             r.k,
             r.batch,
-            r.dense_ms,
-            r.sparse_ms,
-            r.pooled_ms,
+            r.ips_ms,
             r.dt_ms,
-            r.speedup_sparse(),
-            r.speedup_pooled(),
-            r.sparse_allocs_per_step,
-            r.pooled_allocs_per_step,
+            r.dt_over_ips(),
+            r.ips_allocs_per_step,
             r.dt_allocs_per_step,
-            r.alloc_reduction(),
         )
     })
 }
@@ -489,19 +400,15 @@ pub fn write(path: &Path, smoke: bool) -> std::io::Result<()> {
     };
     crate::report::write_report(path, &render_report(&results), &results, |r| {
         format!(
-            "train_step M={:7} K={} B={}  dense {:10.3} ms  sparse {:8.3} ms  \
-             pooled {:8.3} ms  dt {:10.3} ms  pooled-speedup {:4.2}x  \
-             allocs {:6.1} -> {:5.1} (dt {:3.1})",
+            "train_step M={:7} K={} B={}  ips {:8.3} ms  dt {:10.3} ms  \
+             dt/ips {:7.1}x  allocs {:3.1} (dt {:3.1})",
             r.m,
             r.k,
             r.batch,
-            r.dense_ms,
-            r.sparse_ms,
-            r.pooled_ms,
+            r.ips_ms,
             r.dt_ms,
-            r.speedup_pooled(),
-            r.sparse_allocs_per_step,
-            r.pooled_allocs_per_step,
+            r.dt_over_ips(),
+            r.ips_allocs_per_step,
             r.dt_allocs_per_step,
         )
     })
@@ -510,36 +417,37 @@ pub fn write(path: &Path, smoke: bool) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dt_tensor::pool;
 
     #[test]
     fn all_arms_train_and_stay_finite() {
         let _pool = crate::stats_lock();
-        for mode in [
-            StepMode::Dense,
-            StepMode::Sparse,
-            StepMode::Pooled,
-            StepMode::Dt,
+        for (arm, mut tb) in [
+            ("ips", TrainBench::ips(64, 4, 8)),
+            ("dt", TrainBench::dt(64, 4, 8)),
         ] {
-            let mut tb = TrainBench::new(64, 4, 8, mode);
             for _ in 0..20 {
                 tb.step();
             }
-            assert!(tb.all_finite(), "mode={mode:?}");
+            assert!(tb.all_finite(), "arm={arm}");
         }
     }
 
     #[test]
     fn sparse_and_pooled_steps_are_bit_identical() {
         let _pool = crate::stats_lock();
-        let mut sparse = TrainBench::new(64, 4, 8, StepMode::Sparse);
-        let mut pooled = TrainBench::new(64, 4, 8, StepMode::Pooled);
+        // The same ips step with the buffer pool off (every buffer fresh
+        // from the allocator) and on: the pool changes where bytes live,
+        // never what is computed.
+        let mut fresh = TrainBench::ips(64, 4, 8);
+        let mut pooled = TrainBench::ips(64, 4, 8);
         for step in 0..12 {
-            sparse.step();
+            pool::with_disabled(|| fresh.step());
             pooled.step();
-            let (a, b) = (sparse.param_checksum(), pooled.param_checksum());
+            let (a, b) = (fresh.param_checksum(), pooled.param_checksum());
             assert!(
                 a.to_bits() == b.to_bits(),
-                "step {step}: sparse {a:?} != pooled {b:?}"
+                "step {step}: pool off {a:?} != pool on {b:?}"
             );
         }
     }
@@ -549,20 +457,24 @@ mod tests {
         let _pool = crate::stats_lock();
         // Shapes large enough that the gathered blocks cross the parallel
         // kernel thresholds, so the width sweep exercises real fan-out.
-        let run = |mode: StepMode| -> Vec<u64> {
-            let mut tb = TrainBench::new(4096, 32, 512, mode);
+        let run = |pooled: bool| -> Vec<u64> {
+            let mut tb = TrainBench::ips(4096, 32, 512);
             (0..3)
                 .map(|_| {
-                    tb.step();
+                    if pooled {
+                        tb.step();
+                    } else {
+                        pool::with_disabled(|| tb.step());
+                    }
                     tb.param_checksum().to_bits()
                 })
                 .collect()
         };
-        let base = dt_parallel::with_thread_limit(1, || run(StepMode::Sparse));
+        let base = dt_parallel::with_thread_limit(1, || run(true));
         for width in [1usize, 2, 8] {
-            let sparse = dt_parallel::with_thread_limit(width, || run(StepMode::Sparse));
-            let pooled = dt_parallel::with_thread_limit(width, || run(StepMode::Pooled));
-            assert_eq!(base, sparse, "fresh-alloc step drifted at width {width}");
+            let fresh = dt_parallel::with_thread_limit(width, || run(false));
+            let pooled = dt_parallel::with_thread_limit(width, || run(true));
+            assert_eq!(base, fresh, "fresh-alloc step drifted at width {width}");
             assert_eq!(base, pooled, "pooled step drifted at width {width}");
         }
     }
@@ -573,7 +485,7 @@ mod tests {
         // Tall enough that the Grams cross the reduction-chunk boundary and
         // every kernel of the penalty sweep fans out.
         let run = || -> Vec<u64> {
-            let mut tb = TrainBench::new(1537, 16, 64, StepMode::Dt);
+            let mut tb = TrainBench::dt(1537, 16, 64);
             (0..3)
                 .map(|_| {
                     tb.step();
@@ -594,14 +506,14 @@ mod tests {
     #[test]
     fn dt_penalties_train_the_rating_tables_densely() {
         let _pool = crate::stats_lock();
-        let mut pooled = TrainBench::new(64, 4, 8, StepMode::Pooled);
-        let mut dt = TrainBench::new(64, 4, 8, StepMode::Dt);
-        pooled.step();
+        let mut ips = TrainBench::ips(64, 4, 8);
+        let mut dt = TrainBench::dt(64, 4, 8);
+        ips.step();
         dt.step();
         // Same inputs, different objective; the penalties reach rows no
         // batch touched.
         assert_ne!(
-            pooled.param_checksum().to_bits(),
+            ips.param_checksum().to_bits(),
             dt.param_checksum().to_bits()
         );
         let (user, item) = (dt.model.user, dt.model.item);
@@ -612,27 +524,23 @@ mod tests {
                 .count()
         };
         assert_eq!(untouched(&dt, user) + untouched(&dt, item), 0);
-        assert!(untouched(&pooled, user) + untouched(&pooled, item) > 0);
+        assert!(untouched(&ips, user) + untouched(&ips, item) > 0);
     }
 
     #[test]
     fn dt_arm_draws_no_fresh_buffers_after_warmup() {
         let _pool = crate::stats_lock();
-        let mut dt = TrainBench::new(64, 4, 8, StepMode::Dt);
+        let mut dt = TrainBench::dt(64, 4, 8);
         assert_eq!(allocs_per_step(&mut dt, 6), 0.0);
     }
 
     #[test]
     fn pooled_arm_reuses_buffers_after_warmup() {
         let _pool = crate::stats_lock();
-        let mut pooled = TrainBench::new(64, 4, 8, StepMode::Pooled);
-        let pooled_allocs = allocs_per_step(&mut pooled, 6);
-        let mut sparse = TrainBench::new(64, 4, 8, StepMode::Sparse);
-        let sparse_allocs = allocs_per_step(&mut sparse, 6);
-        assert!(
-            pooled_allocs < 0.1 * sparse_allocs,
-            "pooled {pooled_allocs} vs sparse {sparse_allocs}"
-        );
+        // The ips step reuses every tape and kernel buffer once the
+        // warm-up has parked each recurring shape in the pool.
+        let mut ips = TrainBench::ips(64, 4, 8);
+        assert_eq!(allocs_per_step(&mut ips, 6), 0.0);
     }
 
     #[test]
@@ -654,21 +562,18 @@ mod tests {
             m: 100_000,
             k: 64,
             batch: 128,
-            dense_ms: 50.0,
-            sparse_ms: 2.0,
-            pooled_ms: 1.0,
+            ips_ms: 2.0,
             dt_ms: 40.0,
-            sparse_allocs_per_step: 200.0,
-            pooled_allocs_per_step: 10.0,
+            ips_allocs_per_step: 0.0,
             dt_allocs_per_step: 0.0,
         };
         let json = render_report(&[m]);
-        assert!(json.contains("\"schema\": \"dt-bench/train_step/v3\""));
+        assert!(json.contains("\"schema\": \"dt-bench/train_step/v4\""));
+        assert!(json.contains("\"ips_ms\": 2.000"));
         assert!(json.contains("\"dt_ms\": 40.000"));
+        assert!(json.contains("\"dt_over_ips\": 20.0"));
+        assert!(json.contains("\"ips_allocs_per_step\": 0.0"));
         assert!(json.contains("\"dt_allocs_per_step\": 0.0"));
-        assert!(json.contains("\"speedup_sparse_vs_dense\": 25.00"));
-        assert!(json.contains("\"speedup_pooled_vs_sparse\": 2.00"));
-        assert!(json.contains("\"alloc_reduction\": 0.950"));
         assert!(json.contains("\"git_rev\": \""));
         assert!(json.trim_end().ends_with('}'));
     }

@@ -8,7 +8,7 @@
 //! | Variant | Imputation | Imputation weight | Extra |
 //! |---|---|---|---|
 //! | `Vanilla` (DR)      | constant (EMA of observed error) | — | |
-//! | `Tdr` (TDR)         | constant + targeted `ε/p̂`       | — | zeroes the empirical DR bias |
+//! | `Tdr` (TDR)         | constant + targeted `ε/p̂`       | — | trains DR's model: ε enters the loss only as constants and the constant imputation never sees it, so no gradient carries ε |
 //! | `JointLearning` (DR-JL) | learned MF | `1/p̂`          | alternating updates |
 //! | `Mrdr` (MRDR-JL)    | learned MF | `(1−p̂)/p̂²`         | variance-minimising |
 //! | `Bias` (DR-BIAS)    | learned MF | `(1−p̂)²/p̂²`        | bias-targeting |
@@ -170,8 +170,10 @@ impl Recommender for DrRecommender {
 
             // Targeted correction (TDR): ε zeroes the empirical DR bias
             // term Σ[(e − ê − ε/p̂)/p̂] ⇒ ε = Σ[(e−ê)/p̂] / Σ[1/p̂²].
-            // ε enters the loss as a constant shift (its gradient
-            // channel is the corrected imputation target below).
+            // ε enters the loss as a constant shift; its only gradient
+            // channel is the corrected imputation target below, which
+            // TDR's constant imputation does not train on, so TDR's
+            // model equals DR's.
             let eps = if rec.variant.targeted() {
                 let num: f64 = e_vals
                     .iter()

@@ -72,37 +72,6 @@ pub fn uniform_pairs(n_users: usize, n_items: usize, n: usize, rng: &mut SplitMi
         .collect()
 }
 
-/// Epoch bookkeeping shared by the trainers: fixed batch size, a shuffled
-/// pass over the observed log per epoch, plus a configurable ratio of
-/// full-space samples per observed example.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochPlan {
-    /// Mini-batch size over the observed log.
-    pub batch_size: usize,
-    /// Uniform full-space pairs drawn per observed example in the batch
-    /// (for propensity / entire-space losses).
-    pub full_space_ratio: usize,
-}
-
-impl EpochPlan {
-    /// A plan with the given batch size and one full-space sample per
-    /// observed example.
-    #[must_use]
-    pub fn new(batch_size: usize) -> Self {
-        Self {
-            batch_size,
-            full_space_ratio: 1,
-        }
-    }
-
-    /// Sets the full-space sampling ratio.
-    #[must_use]
-    pub fn with_full_space_ratio(mut self, ratio: usize) -> Self {
-        self.full_space_ratio = ratio;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

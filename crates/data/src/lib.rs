@@ -31,7 +31,7 @@ mod sparsify;
 mod split;
 mod synthetic;
 
-pub use batch::{uniform_pairs, BatchIter, EpochPlan};
+pub use batch::{uniform_pairs, BatchIter};
 pub use binser::{decode_log, encode_log, DecodeError};
 pub use dataset::{Dataset, GroundTruth};
 pub use interactions::{Interaction, InteractionLog, Pair, PairSet};

@@ -58,12 +58,6 @@ impl CacheMode {
             CacheMode::PerWorker { capacity } | CacheMode::Shared { capacity, .. } => capacity,
         }
     }
-
-    /// `true` when dispatch runs uncached.
-    #[must_use]
-    pub fn is_off(&self) -> bool {
-        matches!(self, CacheMode::Off)
-    }
 }
 
 impl EngineArm<'_> {

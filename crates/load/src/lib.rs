@@ -1,7 +1,7 @@
 //! # dt-load
 //!
 //! In-process load-replay harness for the serving stack — the layer
-//! that turns "fast per batch" (`BENCH_serve`/`ann`/`quant`) into
+//! that turns "fast per batch" (`BENCH_ann`/`quant`) into
 //! "fast under load" (`BENCH_load.json`): steady-state queries/sec,
 //! p50/p99 latency, shed rate and batch-size behaviour of the
 //! `dt-serve` engines under sustained concurrent traffic (DESIGN.md

@@ -1,8 +1,8 @@
 //! Adam, sparse-aware.
 //!
-//! The default [`GradMode::Lazy`] consumes row-sparse gradients without
-//! densifying: only the touched rows of the parameter, its first moment and
-//! its second moment are read or written, with a `β^Δt` catch-up applied to
+//! Row-sparse gradients are consumed without densifying: only the touched
+//! rows of the parameter, its first moment and its second moment are read
+//! or written, with a `β^Δt` catch-up applied to
 //! the moments of a row that sat idle for `Δt` steps (the exponent is the
 //! number of missed steps, computed from a per-row `last` stamp). Dense
 //! gradients — full-table losses — still update every row through a fused
@@ -13,8 +13,6 @@
 //! Documented lazy approximations (see DESIGN.md §10): the coupled L2
 //! term only acts on rows the current gradient touches, and idle rows
 //! receive no updates from their decayed momentum tail.
-//! [`GradMode::DenseEquivalent`] removes all approximations by delegating
-//! to [`crate::reference::adam_step`].
 //!
 //! The dense pass is [`dt_tensor::fused::adam_dense`], split across the
 //! shared pool and bit-identical to the sequential loop at any width.
@@ -25,7 +23,7 @@ use dt_autograd::{ParamId, Params};
 use dt_tensor::fused::AdamDense;
 use dt_tensor::{Grad, Tensor};
 
-use crate::{reference, GradMode, Optimizer};
+use crate::Optimizer;
 
 /// `beta^delta` with an integer exponent, for lazy moment catch-up.
 /// Deterministic (no `powf` on the hot path) and saturating: a `delta`
@@ -50,7 +48,6 @@ pub struct Adam {
     beta2: f64,
     eps: f64,
     weight_decay: f64,
-    mode: GradMode,
     t: u64,
     state: HashMap<ParamId, State>,
 }
@@ -79,23 +76,13 @@ impl Adam {
             beta2,
             eps,
             weight_decay,
-            mode: GradMode::Lazy,
             t: 0,
             state: HashMap::new(),
         }
     }
-
-    /// Selects how row-sparse gradients are consumed (default
-    /// [`GradMode::Lazy`]).
-    #[must_use]
-    pub fn with_grad_mode(mut self, mode: GradMode) -> Self {
-        self.mode = mode;
-        self
-    }
 }
 
 impl Optimizer for Adam {
-    #[allow(clippy::too_many_lines)]
     fn step(&mut self, params: &mut Params) {
         self.t += 1;
         let t = self.t;
@@ -121,19 +108,6 @@ impl Optimizer for Adam {
                 v: Tensor::zeros(rows, cols), // alloc-ok: first step only
                 last: vec![t - 1; rows],      // alloc-ok: first step only
             });
-
-            if self.mode == GradMode::DenseEquivalent {
-                let g = params.grad(id).to_dense();
-                let cfg = reference::AdamCfg {
-                    lr,
-                    beta1: b1,
-                    beta2: b2,
-                    eps,
-                    weight_decay: wd,
-                };
-                reference::adam_step(params.value_mut(id), &g, &mut st.m, &mut st.v, t, &cfg);
-                continue;
-            }
 
             let (g, w) = params.grad_and_value_mut(id);
             let State { m, v, last } = st;
@@ -273,47 +247,6 @@ mod tests {
         params.accumulate_grad(b, &Tensor::scalar(1.0));
         opt.step(&mut params); // must not panic; state is keyed by ParamId
         assert!(params.value(b).item() < 1.0);
-    }
-
-    #[test]
-    fn dense_equivalent_matches_reference_bits() {
-        // Sparse gradients through the DenseEquivalent optimizer must equal
-        // the legacy dense oracle bit for bit, across steps with different
-        // touched-row sets.
-        let mut params = Params::new();
-        let w = params.add("w", Tensor::from_fn(5, 3, |i, j| (i * 3 + j) as f64 * 0.1));
-        let mut opt = Adam::with_config(0.05, 0.9, 0.999, 1e-8, 0.01)
-            .with_grad_mode(GradMode::DenseEquivalent);
-
-        let mut oracle_w = params.value(w).clone();
-        let mut m = Tensor::zeros(5, 3);
-        let mut v = Tensor::zeros(5, 3);
-        let cfg = reference::AdamCfg {
-            lr: 0.05,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.01,
-        };
-
-        let batches: [&[usize]; 3] = [&[0, 2, 2], &[4], &[1, 3, 0]];
-        for (step, idx) in batches.iter().enumerate() {
-            let src = Tensor::from_fn(idx.len(), 3, |i, j| ((step + i + j) as f64).sin());
-            let sparse = RowSparse::from_scatter(5, 3, idx, &src);
-            params.accumulate_grad_rows(w, sparse.clone());
-            opt.step(&mut params);
-            params.zero_grad();
-
-            reference::adam_step(
-                &mut oracle_w,
-                &sparse.to_dense(),
-                &mut m,
-                &mut v,
-                step as u64 + 1,
-                &cfg,
-            );
-        }
-        assert_eq!(params.value(w).data(), oracle_w.data());
     }
 
     #[test]

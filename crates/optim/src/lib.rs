@@ -9,14 +9,12 @@
 //!
 //! Gradients arrive as [`dt_tensor::Grad`] — row-sparse for embedding-table
 //! parameters touched through gathers, dense for full-table losses. Adam
-//! consumes both without densifying: in the default [`GradMode::Lazy`] a
-//! step over a row-sparse gradient costs `O(touched_rows × cols)`,
-//! catching idle rows' moments up with a `β^Δt` decay factor the next
-//! time they are touched (see DESIGN.md §10 for the exact semantics and
-//! the documented approximations). The [`GradMode::DenseEquivalent`] mode
-//! instead densifies and delegates to the legacy formula kept verbatim in
-//! [`reference`], and is tested to be bit-identical to the pre-sparse
-//! optimizer — the oracle for the lazy path's equivalence tests.
+//! consumes both without densifying: a step over a row-sparse gradient
+//! costs `O(touched_rows × cols)`, catching idle rows' moments up with a
+//! `β^Δt` decay factor the next time they are touched (see DESIGN.md §10
+//! for the exact semantics and the documented approximations). The legacy
+//! dense formula is kept verbatim in [`reference`], the oracle of the lazy
+//! path's equivalence tests.
 //!
 //! Optimizer state (the two moments) is keyed by
 //! [`dt_autograd::ParamId`], not by iteration position, so interleaving
@@ -51,22 +49,6 @@ pub mod reference;
 pub use adam::Adam;
 
 use dt_autograd::{Graph, Params, Var};
-
-/// How the optimizer consumes row-sparse gradients.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum GradMode {
-    /// Touched-rows-only updates: a row-sparse gradient updates just its
-    /// touched rows, whose moments are first caught up with a `β^Δt`
-    /// decay for the `Δt` steps the row sat idle. `O(touched × cols)` per
-    /// step. Dense gradients still update every row.
-    #[default]
-    Lazy,
-    /// Densify every gradient and delegate to the legacy dense formula in
-    /// [`reference`] — bit-identical to the pre-sparse optimizer. Used by
-    /// the equivalence tests and the dense arm of the training-step
-    /// benchmark; `O(rows × cols)` per step.
-    DenseEquivalent,
-}
 
 /// A first-order optimizer over a [`Params`] store.
 pub trait Optimizer {

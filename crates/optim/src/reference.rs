@@ -5,9 +5,9 @@
 //! implementation (clone the gradient, fold L2 decay in with `axpy`, decay
 //! the moments with `scale_inplace`, divide by the bias corrections inside
 //! `zip_map`, …). Keeping the old multi-pass formula verbatim means the
-//! `GradMode::DenseEquivalent` path — and the exact-match tests in
-//! `crates/optim/tests` — compare against the same bits the workspace
-//! produced before gradients became sparse.
+//! lazy optimizer's equivalence tests in `crates/optim/tests` compare
+//! against the same formula the workspace ran before gradients became
+//! sparse.
 
 use dt_tensor::Tensor;
 

@@ -1,19 +1,14 @@
-//! Property-based equivalence tests: the sparse-aware Adam against the
-//! legacy dense formula in `dt_optim::reference`.
+//! Property-based equivalence test: the sparse-aware Adam against the
+//! legacy dense formula in `dt_optim::reference`. Lazy Adam with every row
+//! touched each step (sparse gradients covering all rows) must match the
+//! oracle numerically — the folded bias correction is algebraically equal
+//! but rounds differently.
 //!
-//! Two tiers of strictness, matching the documented semantics:
-//!
-//! * `DenseEquivalent` mode must be **bit-identical** to the dense oracle
-//!   for any sequence of sparse gradients.
-//! * Lazy Adam with every row touched each step (sparse gradients covering
-//!   all rows) must match the oracle numerically — the folded bias
-//!   correction is algebraically equal but rounds differently.
-//!
-//! Each property runs on 48 seeded cases, every case drawing from its own
+//! The property runs on 48 seeded cases, every case drawing from its own
 //! `SplitMix64` stream, so a failure replays from its case number.
 
 use dt_autograd::Params;
-use dt_optim::{reference, Adam, GradMode, Optimizer};
+use dt_optim::{reference, Adam, Optimizer};
 use dt_tensor::{RowSparse, SplitMix64, Tensor};
 
 /// Cases per property.
@@ -42,45 +37,6 @@ fn batches(rng: &mut SplitMix64, rows: usize, cols: usize) -> Vec<(Vec<usize>, T
 
 fn init_table(rows: usize, cols: usize) -> Tensor {
     Tensor::from_fn(rows, cols, |i, j| ((i * cols + j) as f64 * 0.7).sin())
-}
-
-#[test]
-fn adam_dense_equivalent_is_bit_identical_to_oracle() {
-    for_each_case(0x0B71, |case, rng| {
-        let seq = batches(rng, 5, 3);
-        let wd = [0.0, 0.02][rng.next_below(2)];
-        let mut params = Params::new();
-        let w = params.add("w", init_table(5, 3));
-        let mut opt =
-            Adam::with_config(0.05, 0.9, 0.999, 1e-8, wd).with_grad_mode(GradMode::DenseEquivalent);
-
-        let mut oracle_w = params.value(w).clone();
-        let mut m = Tensor::zeros(5, 3);
-        let mut v = Tensor::zeros(5, 3);
-        let cfg = reference::AdamCfg {
-            lr: 0.05,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: wd,
-        };
-
-        for (t, (idx, src)) in seq.iter().enumerate() {
-            let sparse = RowSparse::from_scatter(5, 3, idx, src);
-            params.accumulate_grad_rows(w, sparse.clone());
-            opt.step(&mut params);
-            params.zero_grad();
-            reference::adam_step(
-                &mut oracle_w,
-                &sparse.to_dense(),
-                &mut m,
-                &mut v,
-                t as u64 + 1,
-                &cfg,
-            );
-        }
-        assert_eq!(params.value(w).data(), oracle_w.data(), "case {case}");
-    });
 }
 
 #[test]

@@ -169,13 +169,6 @@ impl Tensor {
         out
     }
 
-    /// Applies `f` to every element in place (sequential; see [`Tensor::map`]).
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for v in self.data_mut() {
-            *v = f(*v);
-        }
-    }
-
     /// Combines two same-shaped tensors element-wise (sequential; see
     /// [`Tensor::map`]).
     ///

@@ -1,32 +1,28 @@
-//! Fused sigmoid→BCE kernels: loss + cached backward residual in one pass.
+//! The fused sigmoid→BCE kernel: loss + cached backward residual in one
+//! pass.
 //!
-//! Every method in the paper runs two of these chains per mini-batch — the
-//! propensity head's plain BCE and the rating head's IPS-weighted BCE.
-//! Composed from primitive ops, each chain materialises three intermediate
-//! tensors (the element-wise BCE, the weighted product, the backward
-//! residual) plus the reduction. The fused kernels here compute the scalar
-//! mean loss and the backward residual `σ(x) − t` in a single pass over
-//! the logits, touching **one** (pooled) buffer.
+//! Every propensity head trains on a mean BCE with logits (DT's over the
+//! whole space, the two-stage methods' over their propensity fit).
+//! Composed from primitive ops, the chain materialises the element-wise
+//! BCE and the backward residual plus the reduction. [`sigmoid_bce`]
+//! computes the scalar mean loss and the backward residual `σ(x) − t` in a
+//! single pass over the logits, touching **one** (pooled) buffer.
 //!
 //! ## Bit-identity contract
 //!
-//! Each fused kernel is *bit-identical* to its composed-op reference
-//! ([`sigmoid_bce_reference`] / [`ips_weighted_bce_reference`], which spell
-//! out the exact primitive chain used by `dt-autograd` before fusion):
+//! The fused kernel is *bit-identical* to its composed-op reference
+//! [`sigmoid_bce_reference`], which spells out the exact primitive chain
+//! used by `dt-autograd` before fusion:
 //!
 //! * the per-element BCE term is the same stable expression
 //!   `max(x,0) − x·t + ln1p(e^{−|x|})`;
-//! * for the IPS variant the weight folds in as `w · bce` *after* the BCE
-//!   term is rounded, exactly like the composed `mul` node;
 //! * the mean reduction is the same sequential Kahan sum over the same
 //!   value sequence as [`crate::Tensor::sum`], divided by the length;
-//! * the backward products associate the same way the composed sweep
-//!   does: `r · c` for the plain kernel and `r · (c · w)` for the IPS
-//!   kernel (the composed sweep scales the upstream gradient by `w`
-//!   first).
+//! * the backward product `r · c` associates the same way the composed
+//!   sweep does.
 //!
 //! The equivalence is pinned by exhaustive sweeps in this module and by
-//! proptests in `dt-autograd` that run whole training steps both ways.
+//! proptests in `dt-autograd` that run the loss both ways on the tape.
 //!
 //! ## The dense Adam pass
 //!
@@ -116,38 +112,6 @@ pub fn sigmoid_bce(logits: &Tensor, targets: &Tensor) -> (f64, Tensor) {
     (loss, residual)
 }
 
-/// Fused `mean(weights ⊙ bce_with_logits(logits, targets))` — the
-/// IPS-weighted rating loss with the weights folded into the same pass.
-///
-/// Returns the scalar mean loss and the backward residual `σ(x) − t`
-/// (weights are *not* folded into the residual: the backward scale differs
-/// per consumer). Bit-identical to [`ips_weighted_bce_reference`].
-///
-/// # Panics
-/// Panics on a shape mismatch or empty input.
-#[must_use]
-pub fn ips_weighted_bce(weights: &Tensor, logits: &Tensor, targets: &Tensor) -> (f64, Tensor) {
-    assert_same_shape("ips_weighted_bce", logits, targets);
-    assert_same_shape("ips_weighted_bce", weights, logits);
-    assert!(!logits.is_empty(), "ips_weighted_bce: mean of empty tensor");
-    let mut residual = Tensor::pooled_scratch(logits.rows(), logits.cols());
-    let mut acc = Kahan::new();
-    for (((r, &x), &t), &w) in residual
-        .data_mut()
-        .iter_mut()
-        .zip(logits.data())
-        .zip(targets.data())
-        .zip(weights.data())
-    {
-        // `w * bce` matches the composed `mul(w, bce)` node exactly.
-        acc.add(w * bce_term(x, t));
-        *r = stable_sigmoid(x) - t;
-    }
-    let loss = acc.s / logits.len() as f64;
-    Check::Finite.run("ips_weighted_bce", residual.data());
-    (loss, residual)
-}
-
 /// Backward of [`sigmoid_bce`] w.r.t. the logits: `dx_i = r_i · scale`
 /// with `scale = ∂L/∂loss / n`. Output draws from the pool.
 #[must_use]
@@ -157,29 +121,6 @@ pub fn sigmoid_bce_backward(residual: &Tensor, scale: f64) -> Tensor {
         *d = r * scale;
     }
     Check::Finite.run("sigmoid_bce_backward", dx.data());
-    dx
-}
-
-/// Backward of [`ips_weighted_bce`] w.r.t. the logits:
-/// `dx_i = r_i · (scale · w_i)` — the inner product associates exactly
-/// like the composed sweep, which scales the upstream gradient by `w`
-/// before it reaches the BCE node.
-///
-/// # Panics
-/// Panics on a shape mismatch.
-#[must_use]
-pub fn ips_weighted_bce_backward(residual: &Tensor, weights: &Tensor, scale: f64) -> Tensor {
-    assert_same_shape("ips_weighted_bce_backward", residual, weights);
-    let mut dx = Tensor::pooled_scratch(residual.rows(), residual.cols());
-    for ((d, &r), &w) in dx
-        .data_mut()
-        .iter_mut()
-        .zip(residual.data())
-        .zip(weights.data())
-    {
-        *d = r * (scale * w);
-    }
-    Check::Finite.run("ips_weighted_bce_backward", dx.data());
     dx
 }
 
@@ -275,37 +216,22 @@ pub fn sigmoid_bce_reference(logits: &Tensor, targets: &Tensor) -> (f64, Tensor)
     (bce.mean(), residual)
 }
 
-/// Composed-op reference for [`ips_weighted_bce`]: element-wise BCE, a
-/// `mul` with the weights, then the mean.
-#[must_use]
-pub fn ips_weighted_bce_reference(
-    weights: &Tensor,
-    logits: &Tensor,
-    targets: &Tensor,
-) -> (f64, Tensor) {
-    let bce = logits.zip_map(targets, bce_term);
-    let weighted = weights.mul(&bce);
-    let residual = logits.zip_map(targets, |x, t| stable_sigmoid(x) - t);
-    (weighted.mean(), residual)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SplitMix64;
 
-    fn batch(seed: u64, rows: usize, cols: usize) -> (Tensor, Tensor, Tensor) {
+    fn batch(seed: u64, rows: usize, cols: usize) -> (Tensor, Tensor) {
         let mut rng = SplitMix64(seed);
         let logits = Tensor::from_fn(rows, cols, |_, _| (rng.next_f64() - 0.5) * 12.0);
         let targets = Tensor::from_fn(rows, cols, |_, _| f64::from(rng.next_f64() > 0.5));
-        let weights = Tensor::from_fn(rows, cols, |_, _| 1.0 / rng.next_f64().max(0.05));
-        (logits, targets, weights)
+        (logits, targets)
     }
 
     #[test]
     fn sigmoid_bce_matches_reference_bits() {
         for seed in 0..32u64 {
-            let (x, t, _) = batch(seed, 17 + seed as usize, 3);
+            let (x, t) = batch(seed, 17 + seed as usize, 3);
             let (fl, fr) = sigmoid_bce(&x, &t);
             let (rl, rr) = sigmoid_bce_reference(&x, &t);
             assert_eq!(fl.to_bits(), rl.to_bits(), "loss bits, seed {seed}");
@@ -314,19 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn ips_weighted_bce_matches_reference_bits() {
-        for seed in 0..32u64 {
-            let (x, t, w) = batch(seed, 23 + seed as usize, 2);
-            let (fl, fr) = ips_weighted_bce(&w, &x, &t);
-            let (rl, rr) = ips_weighted_bce_reference(&w, &x, &t);
-            assert_eq!(fl.to_bits(), rl.to_bits(), "loss bits, seed {seed}");
-            assert_eq!(fr, rr, "residual bits, seed {seed}");
-        }
-    }
-
-    #[test]
     fn backward_matches_composed_products_bits() {
-        let (x, t, w) = batch(7, 64, 1);
+        let (x, t) = batch(7, 64, 1);
         let (_, r) = sigmoid_bce(&x, &t);
         let scale = 1.0 / x.len() as f64;
         // Composed sweep: mean backward emits a full tensor of `scale`,
@@ -334,11 +249,6 @@ mod tests {
         let upstream = Tensor::full(x.rows(), x.cols(), scale);
         let composed = r.mul(&upstream);
         assert_eq!(sigmoid_bce_backward(&r, scale), composed);
-
-        // IPS: upstream through the mul node is `scale · w` per element.
-        let scaled_w = upstream.mul(&w);
-        let composed_ips = r.mul(&scaled_w);
-        assert_eq!(ips_weighted_bce_backward(&r, &w, scale), composed_ips);
     }
 
     #[test]
@@ -365,16 +275,6 @@ mod tests {
     #[should_panic(expected = "sigmoid_bce: shape mismatch")]
     fn shape_mismatch_panics() {
         let _ = sigmoid_bce(&Tensor::zeros(2, 2), &Tensor::zeros(2, 3));
-    }
-
-    #[test]
-    fn weighted_kernel_with_unit_weights_matches_loss_of_plain() {
-        let (x, t, _) = batch(3, 31, 1);
-        let ones = Tensor::ones(x.rows(), x.cols());
-        let (wl, _) = ips_weighted_bce(&ones, &x, &t);
-        // `1.0 * bce` is bit-exact `bce`, so the Kahan streams coincide.
-        let (pl, _) = sigmoid_bce(&x, &t);
-        assert_eq!(wl.to_bits(), pl.to_bits());
     }
 
     /// The dense Adam update as one sequential loop (the optimizer's body

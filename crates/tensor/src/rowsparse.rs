@@ -12,8 +12,8 @@
 //! [`RowSparse::merge`] reproduces `dense_a.add_assign(&dense_b)` per
 //! element (including the `x + 0.0` IEEE normalisation for rows present on
 //! only one side). Densifying any chain of sparse accumulations therefore
-//! yields the same bits as running the chain densely, which is what the
-//! `DenseEquivalent` optimizer tests in `dt-optim` assert.
+//! yields the same bits as running the chain densely, which this module's
+//! scatter and merge tests assert against the dense kernels.
 //!
 //! [`Grad::accumulate_run`] folds a whole backward sweep's deltas for one
 //! parameter at once, with per element the additions one
@@ -192,11 +192,6 @@ impl RowSparse {
     #[must_use]
     pub fn block(&self) -> &Tensor {
         &self.block
-    }
-
-    /// Mutable access to the dense block (indices are fixed).
-    pub fn block_mut(&mut self) -> &mut Tensor {
-        &mut self.block
     }
 
     /// Iterates `(row_index, row_values)` over the touched rows in
@@ -419,15 +414,6 @@ impl Grad {
     #[must_use]
     pub fn is_dense(&self) -> bool {
         matches!(self, Grad::Dense(_))
-    }
-
-    /// The dense tensor, when dense.
-    #[must_use]
-    pub fn as_dense(&self) -> Option<&Tensor> {
-        match self {
-            Grad::Dense(t) => Some(t),
-            Grad::RowSparse(_) => None,
-        }
     }
 
     /// The row-sparse representation, when sparse.

@@ -217,12 +217,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its row-major data.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element at `(row, col)`.
     ///
     /// # Panics

@@ -59,8 +59,10 @@ timeout "$WORKSPACE_TEST_TIMEOUT" cargo test --workspace -q
 # quant_props and the run fold's properties), the pool's suite (the
 # poll-then-park hand-off), the autograd suite (the column-view oracle:
 # views read in place, deltas routed into their base, the single-GEMM
-# self-Gram backward, each table's leaf gradients folded as one run), the
-# optimizer suite (the pool-split dense Adam pass), the
+# self-Gram backward, each table's leaf gradients folded as one run; and
+# pool_steady_state: a seeded DT-IPS tape loop that parks a bounded set of
+# buffer-pool size classes, all but stops missing the pool after warm-up,
+# and computes the same bits with the pool off), the optimizer suite (the pool-split dense Adam pass), the
 # serving engine's oracle tests (exact + IVF + fused scan + k-means), the
 # latency-histogram and load suites, and the bench helpers at explicit
 # widths, and the trainers' bit-identity pins (every method's seeded fit,
@@ -90,7 +92,8 @@ done
 # bodies and the scan are inlined into their runtime-dispatched AVX2
 # clones differently, so the tensor and autograd suites (kernel oracles,
 # the wide-vs-portable tests, the allocator count, the run fold's
-# properties, the column-view oracle) run once more against it, with the
+# properties, the column-view oracle, the pool's steady state on the DT-IPS
+# tape) run once more against it, with the
 # pool's tests (the poll-then-park hand-off's atomics) and the optimizer
 # suite (the pool-split dense Adam pass, the lazy-vs-dense Adam oracle).
 echo "==> cargo test --release -p dt-tensor -p dt-autograd -p dt-parallel -p dt-optim"

@@ -13,20 +13,41 @@ use dt_serve::ScoringIndex;
 use dt_tensor::{pool, Tensor};
 
 /// Short git revision of the working tree (`git rev-parse --short HEAD`),
-/// or `"unknown"` when git is unavailable or the cwd is not a repository.
-/// Validated to be plain hex before it is embedded in a report, so a
-/// mangled git invocation can never corrupt the JSON.
+/// with `-dirty` appended when tracked files differ from HEAD, or
+/// `"unknown"` when git is unavailable or the cwd is not a repository.
+/// See [`format_git_rev`] for the validation.
 #[must_use]
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_hexdigit()))
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    format_git_rev(
+        git(&["rev-parse", "--short", "HEAD"]).as_deref(),
+        git(&["status", "--porcelain", "--untracked-files=no"]).as_deref(),
+    )
+}
+
+/// A report's `git_rev` from the outputs of `git rev-parse --short HEAD`
+/// and `git status --porcelain --untracked-files=no`: the revision when it
+/// is plain hex, so a mangled git invocation can never corrupt the JSON,
+/// with `-dirty` when the status lists a tracked file; `"unknown"` when
+/// the revision is missing or not hex. A missing status adds no mark.
+fn format_git_rev(head: Option<&str>, status: Option<&str>) -> String {
+    match head.map(str::trim) {
+        Some(rev) if !rev.is_empty() && rev.chars().all(|c| c.is_ascii_hexdigit()) => {
+            if status.is_some_and(|s| !s.trim().is_empty()) {
+                format!("{rev}-dirty")
+            } else {
+                rev.to_string()
+            }
+        }
+        _ => "unknown".to_string(),
+    }
 }
 
 /// Host hardware thread count for the report header: validated to be at
@@ -255,10 +276,24 @@ mod tests {
     #[test]
     fn git_rev_is_hex_or_unknown() {
         let rev = git_rev();
+        let hex = rev.strip_suffix("-dirty").unwrap_or(&rev);
         assert!(
-            rev == "unknown" || (!rev.is_empty() && rev.chars().all(|c| c.is_ascii_hexdigit())),
+            rev == "unknown" || (!hex.is_empty() && hex.chars().all(|c| c.is_ascii_hexdigit())),
             "unexpected git_rev {rev:?}"
         );
+    }
+
+    #[test]
+    fn git_rev_marks_a_dirty_tree() {
+        assert_eq!(format_git_rev(Some("299723b\n"), Some("")), "299723b");
+        assert_eq!(
+            format_git_rev(Some("299723b\n"), Some(" M crates/bench/src/report.rs\n")),
+            "299723b-dirty"
+        );
+        assert_eq!(format_git_rev(Some("299723b"), None), "299723b");
+        assert_eq!(format_git_rev(None, Some(" M a.rs\n")), "unknown");
+        assert_eq!(format_git_rev(Some("\n"), Some("")), "unknown");
+        assert_eq!(format_git_rev(Some("fatal: \"x\""), Some("")), "unknown");
     }
 
     #[test]
